@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .outlyingness import flag as flag_scores
 from .outlyingness import score
 from .simulation import (
     SimulationConfig,
+    resolve_processes,
     run_consistency_experiment,
     run_relative_outlyingness_experiment,
 )
@@ -184,8 +186,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_flag(args) -> int:
-    if args.alpha < 0:
-        raise CLIInputError("--alpha must be nonnegative")
+    if not (math.isfinite(args.alpha) and args.alpha >= 0):
+        raise CLIInputError("--alpha must be finite and nonnegative")
     ps, rows = _load(args)
     table = score(delaunay(ps))
     report = flag_scores(table, args.alpha)
@@ -260,9 +262,10 @@ def cmd_simulate(args) -> int:
             seed=args.seed, r_lo=args.r_lo, r_hi=args.r_hi, outliers=outliers,
             thresholds=tuple(float(t) for t in args.thresholds.split(",")),
         )
+        processes = resolve_processes(args.processes)
     except ValueError as err:
         raise CLIInputError(str(err)) from err
-    report = run_relative_outlyingness_experiment(cfg, processes=args.processes)
+    report = run_relative_outlyingness_experiment(cfg, processes=processes)
     _emit_json(report.to_dict(include_runtime=args.include_runtime), args.output)
     if args.histogram_csv:
         with open(args.histogram_csv, "w", encoding="utf-8") as fh:

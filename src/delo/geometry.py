@@ -156,6 +156,21 @@ def _bareiss_sign(m: list[list[int]]) -> int:
     return sign if prev > 0 else -sign
 
 
+def _scaled_ints(arr: np.ndarray) -> list:
+    """The floats of arr as exact Python ints, all scaled by one power of
+    two, in nested lists shaped like arr.
+
+    Differences, products and determinants of the ints have the signs of
+    those of the floats, without the gcd work of Fraction arithmetic.
+    """
+    mant, e = np.frexp(arr)
+    mant = np.ldexp(mant, 53).astype(np.int64)  # exact: 53-bit significands
+    nonzero = mant != 0
+    low = int(e[nonzero].min()) if nonzero.any() else 0
+    shift = np.where(nonzero, e - low, 0)
+    return (mant.astype(object) << shift.astype(object)).tolist()
+
+
 def exact_det_sign(rows: Sequence[Sequence]) -> int:
     """Exact sign of a determinant with Fraction/int/float entries."""
     fr = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
@@ -192,24 +207,56 @@ def orient(simplex) -> Sign:
     signs, bad = _filtered_det_signs(mat)
     if not bad[0]:
         return Sign(int(signs[0]))
-    rows = [[Fraction(pts[i][j]) - Fraction(pts[0][j]) for j in range(k)]
-            for i in range(1, k + 1)]
-    return Sign(exact_det_sign(rows))
+    return Sign(_exact_orient_signs(pts[None])[0])
+
+
+def _exact_orient_signs(simplices: np.ndarray) -> list[int]:
+    """Exact orientation signs of an (m, k+1, k) batch of simplices."""
+    return [_bareiss_sign([[a - b for a, b in zip(row, base)] for row in rest])
+            for base, *rest in _scaled_ints(simplices)]
+
+
+def _orient_signs(simplices: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact orientation signs of an (m, k+1, k) batch of simplices, and how
+    many of them the float filter left to exact arithmetic."""
+    signs, bad = _filtered_det_signs(simplices[:, 1:] - simplices[:, :1])
+    if bad.any():
+        signs[bad] = _exact_orient_signs(simplices[bad])
+    return signs, int(bad.sum())
 
 
 def _insphere_mats(pts: np.ndarray, queries: np.ndarray):
-    # rows i: (p_i - q, |p_i - q|^2); one (k+1)x(k+1) matrix per query
-    diffs = pts[None, :, :] - queries[:, None, :]
+    # rows i: (p_i - q, |p_i - q|^2); one (k+1)x(k+1) matrix per query. pts is
+    # one simplex (k+1, k) shared by every query, or one simplex per query
+    # (m, k+1, k)
+    diffs = pts - queries[:, None, :]
     norms = np.einsum("mij,mij->mi", diffs, diffs)
     return np.concatenate([diffs, norms[:, :, None]], axis=2)
 
 
-def _exact_insphere_sign(pts: np.ndarray, q: np.ndarray) -> int:
-    rows = []
-    for p in pts:
-        d = [Fraction(p[j]) - Fraction(q[j]) for j in range(len(q))]
-        rows.append(d + [sum(x * x for x in d)])
-    return exact_det_sign(rows)
+def _exact_insphere_signs(simplices: np.ndarray, queries: np.ndarray) -> list[int]:
+    """Exact signs of the _insphere_mats determinants of an (m, k+1, k)
+    batch of simplices, one query each."""
+    signs = []
+    for *rows, top in _scaled_ints(np.concatenate([simplices, queries[:, None]], axis=1)):
+        mat = []
+        for row in rows:
+            d = [a - b for a, b in zip(row, top)]
+            mat.append(d + [sum(x * x for x in d)])
+        signs.append(_bareiss_sign(mat))
+    return signs
+
+
+def _insphere_det_signs(pts: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact signs of the _insphere_mats determinants, and how many of them
+    the float filter left to exact arithmetic."""
+    k = queries.shape[1]
+    mats = _insphere_mats(pts, queries)
+    signs, bad = _filtered_det_signs(mats, entry_ulps=2.0 * (k + 3))
+    if bad.any():
+        simplices = np.broadcast_to(pts, (len(mats), k + 1, k))
+        signs[bad] = _exact_insphere_signs(simplices[bad], queries[bad])
+    return signs, int(bad.sum())
 
 
 def in_sphere(simplex, query) -> Sign:
@@ -230,9 +277,7 @@ def in_sphere(simplex, query) -> Sign:
     s_or = orient(pts)
     if s_or is Sign.ZERO:
         raise DegenerateSimplexError("in_sphere needs an affinely independent simplex")
-    mats = _insphere_mats(pts, q[None, :])
-    signs, bad = _filtered_det_signs(mats, entry_ulps=2.0 * (k + 3))
-    s = int(signs[0]) if not bad[0] else _exact_insphere_sign(pts, q)
+    s = int(_insphere_det_signs(pts, q[None, :])[0][0])
     # parity: the translated determinant equals the homogeneous one up to
     # the k row swaps that move the query row into place
     return Sign(s * int(s_or) * (-1 if k % 2 else 1))
@@ -246,10 +291,7 @@ def in_sphere_many(simplex, queries) -> np.ndarray:
     if s_or is Sign.ZERO:
         raise DegenerateSimplexError("in_sphere needs an affinely independent simplex")
     qs = np.asarray(queries, dtype=np.float64).reshape(-1, k)
-    mats = _insphere_mats(pts, qs)
-    signs, bad = _filtered_det_signs(mats, entry_ulps=2.0 * (k + 3))
-    for i in np.nonzero(bad)[0]:
-        signs[i] = _exact_insphere_sign(pts, qs[i])
+    signs, _ = _insphere_det_signs(pts, qs)
     return signs * (int(s_or) * (-1 if k % 2 else 1))
 
 

@@ -20,6 +20,7 @@ from .geometry import (
     GeometryError,
     PointSet,
     _filtered_det_signs,
+    _orient_signs,
     distance,
     in_sphere,
     orient,
@@ -51,10 +52,7 @@ def bruteforce_simplices(points) -> list[tuple[int, ...]]:
     subsets = np.array(list(combinations(range(n), k + 1)))
     pts = coords[subsets]  # (m, k+1, k)
 
-    omats = pts[:, 1:, :] - pts[:, :1, :]
-    osigns, obad = _filtered_det_signs(omats)
-    for idx in np.nonzero(obad)[0]:
-        osigns[idx] = int(orient(pts[idx]))
+    osigns, _ = _orient_signs(pts)
     live = osigns != 0
     if not live.any():
         raise GeneralPositionError("affine_span", tuple(range(n)),

@@ -55,7 +55,7 @@ def score_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> ScoreTa
     """Scores from an explicit (i, j, length) edge list; dim is unknown (0)."""
     logs: list[list[float]] = [[] for _ in range(n)]
     for i, j, length in edges:
-        if not 0 <= i < n and 0 <= j < n:
+        if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i},{j}) out of range")
         if length <= 0:
             raise ValueError(f"edge ({i},{j}) has non-positive length")
@@ -82,7 +82,7 @@ def relative_outlyingness(table: ScoreTable, ref: int) -> np.ndarray:
 
 def flag(table: ScoreTable, alpha: float) -> FlagReport:
     """Indices whose score is at least alpha (ties are flagged)."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError("alpha must be finite and nonnegative")
     flagged = tuple(int(i) for i in np.nonzero(table.scores >= alpha)[0])
     return FlagReport(threshold=float(alpha), flagged=flagged)

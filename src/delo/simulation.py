@@ -15,7 +15,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .geometry import GeneralPositionError, PointSet
+from .geometry import MAX_DIM, GeneralPositionError, PointSet
 from .outlyingness import relative_outlyingness, score
 from .triangulation import delaunay
 
@@ -31,7 +31,10 @@ def resolve_processes(requested: int | None = None) -> int:
     procs = cpus if requested is None else max(1, requested)
     cap = os.environ.get("DELO_THREADS")
     if cap:
-        procs = min(procs, max(1, int(cap)))
+        try:
+            procs = min(procs, max(1, int(cap)))
+        except ValueError:
+            raise ValueError(f"DELO_THREADS must be an integer, got {cap!r}") from None
     return min(procs, cpus)
 
 
@@ -50,6 +53,8 @@ class SimulationConfig:
     thresholds: tuple[float, ...] = (0.9, 1.0)
 
     def __post_init__(self):
+        if not 1 <= self.dim <= MAX_DIM:
+            raise ValueError(f"dimension {self.dim} unsupported (1 <= dim <= {MAX_DIM})")
         if not self.outliers:
             object.__setattr__(self, "outliers", (tuple([0.0] * self.dim),))
         object.__setattr__(self, "outliers",

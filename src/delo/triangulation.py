@@ -1,16 +1,29 @@
-"""Delaunay triangulation via the lower convex hull of lifted points.
+"""Delaunay triangulation: Qhull proposes the cells, an exact certificate
+accepts them, and an exact lifted-hull builder is the fallback.
 
-Points in R^k are lifted to the paraboloid in R^(k+1); the incremental
-beneath-beyond algorithm with conflict lists builds their convex hull, and
-the downward-facing facets project back to the Delaunay cells. Every
-visibility decision is an exact orientation sign (float filter with exact
-integer fallback), so the output is the true triangulation whenever the
-input is in general position; degeneracies encountered along the way are
-reported as errors naming the offending subset.
+For 2 <= k <= 6 and more than k+1 points, scipy's Qhull (Barber, Dobkin &
+Huhdanpaa 1996) proposes the cells in floating point, and they are used
+only after a batched certificate in the style of Mehlhorn et al. (1999) has
+checked them with exact signs: every point is a vertex, the cells form a
+triangulation of the convex hull, and every interior ridge is strictly
+locally Delaunay. Such a triangulation is the unique Delaunay triangulation
+of the points. Where Qhull's cells pass every check but a few ridges are
+not locally Delaunay (Qhull splits facets it merged for precision in any
+order), bistellar flips repair those ridges and the certificate runs again.
+
+Otherwise -- k = 1, scipy missing, Qhull failing, or any check failing or
+meeting a zero sign -- the points are lifted to the paraboloid in R^(k+1),
+the incremental beneath-beyond algorithm with conflict lists builds their
+convex hull, and the downward-facing facets project back to the Delaunay
+cells. Every visibility decision is an exact orientation sign (float filter
+with exact integer fallback), so the output is the true triangulation
+whenever the input is in general position; degeneracies encountered along
+the way are reported as errors naming the offending subset.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -24,7 +37,10 @@ from .geometry import (
     PointSet,
     Sign,
     _filtered_det_signs,
+    _insphere_det_signs,
+    _orient_signs,
     exact_det_sign,
+    in_sphere,
     is_affinely_independent,
     jitter_points,
     lifted_floats,
@@ -34,8 +50,20 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class BuildStats:
+    """How a triangulation was obtained.
+
+    backend is "qhull" when Qhull's cells, flipped where a ridge was not
+    Delaunay, passed the certificate; then facets_created counts the
+    certified cells and exact_fallbacks the signs the certificate resolved
+    exactly, summed over both runs where flips were needed. It is
+    "incremental" for the exact builder, where they count the hull facets
+    created and the exact visibility signs, and for sets of at most k+1
+    points, which need no hull.
+    """
+
     facets_created: int
     exact_fallbacks: int
+    backend: str
 
 
 @dataclass(frozen=True)
@@ -49,7 +77,7 @@ class DelaunayGraph:
     simplices: tuple[tuple[int, ...], ...]
     insertion_seed: int
     jitter_seed: int | None
-    stats: BuildStats = field(compare=False, default=BuildStats(0, 0))
+    stats: BuildStats = field(compare=False, default=BuildStats(0, 0, "incremental"))
 
     def incident_edges(self, i: int) -> list[tuple[int, float]]:
         """E(x_i): (neighbor index, edge length) pairs, sorted by neighbor."""
@@ -346,12 +374,7 @@ class _HullBuilder:
     def _lower_simplices(self) -> list[tuple[int, ...]]:
         """Facets whose outward normal points downward project to Delaunay cells."""
         facets = sorted(self.facets, key=lambda f: f.verts)
-        k = self.ps.dim
-        mats = np.stack([
-            self.coords[list(f.verts[1:])] - self.coords[f.verts[0]] for f in facets])
-        signs, bad = _filtered_det_signs(mats)
-        for idx in np.nonzero(bad)[0]:
-            signs[idx] = int(orient(self.coords[list(facets[idx].verts)]))
+        signs, _ = _orient_signs(self.coords[np.array([f.verts for f in facets])])
         lower = [f.verts for f, s in zip(facets, signs) if int(s) == f.ref]
         covered = {v for verts in lower for v in verts}
         if len(covered) != self.n:
@@ -360,12 +383,270 @@ class _HullBuilder:
         return lower
 
 
+@functools.cache
+def _qhull():
+    """scipy's Qhull Delaunay class and its error type, or None without scipy.
+
+    Imported on first use: scipy adds about half a second to start-up.
+    """
+    try:
+        from scipy.spatial import Delaunay, QhullError
+    except ImportError:
+        return None
+    return Delaunay, QhullError
+
+
+def _faces(simplices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row without one of its columns, in (row, column) order, and the
+    vertex left out of each."""
+    d = simplices.shape[1]
+    keep = np.array([[c for c in range(d) if c != j] for j in range(d)])
+    return simplices[:, keep].reshape(-1, d - 1), simplices.reshape(-1)
+
+
+def _sorted_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lexicographic order of the rows, and whether each sorted row equals the next."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    return order, (ranked[1:] == ranked[:-1]).all(axis=1)
+
+
+def _certify(coords: np.ndarray, cells) -> tuple[np.ndarray, int] | None:
+    """Check exactly that cells are the Delaunay triangulation of coords.
+
+    cells is an (m, k+1) vertex-index array from an untrusted source, for
+    2 <= k. Returns the cells with sorted rows in lexicographic order and the
+    number of signs resolved in exact arithmetic, or None if a check of
+    _check fails or an interior ridge is not strictly locally Delaunay.
+    """
+    checked = _check(coords, cells)
+    if checked is None or checked[2]:
+        return None
+    return checked[0], checked[1]
+
+
+def _check(coords: np.ndarray, cells) -> tuple[np.ndarray, int, list] | None:
+    """The certificate's checks, reporting the ridges that are not Delaunay.
+
+    Returns the cells with sorted rows in lexicographic order, the number of
+    signs resolved in exact arithmetic and the interior ridges (sorted vertex
+    tuples) whose opposite apex lies strictly inside the other cell's
+    circumsphere; or None if any other check fails or meets a zero sign.
+    With every sign exact, the checks are (Mehlhorn et al. 1999, "Checking
+    geometric programs or verification of geometric structures"):
+
+    - every point is a vertex and every cell has a nonzero orientation;
+    - every ridge lies in at most two cells, and two cells sharing a ridge
+      lie on opposite sides of it;
+    - the boundary ridges (those in one cell) form a closed surface that is
+      strictly locally convex;
+    - a point inside one cell lies in no other cell and strictly inside
+      every boundary ridge.
+
+    Together these make the cells a triangulation of the convex hull (the
+    last check rules out, say, two clusters each triangulated on its own).
+    Finally every interior ridge must be strictly locally Delaunay, which
+    makes it the unique Delaunay triangulation.
+    """
+    n, k = coords.shape
+    with np.errstate(over="ignore"):
+        if not np.isfinite(4.0 * k * np.abs(coords).max() ** 2):
+            return None  # |p - q|^2 in the in-sphere matrices would overflow
+    cells = np.sort(np.asarray(cells, dtype=np.int64), axis=1)
+    cells = cells[np.lexsort(cells.T[::-1])]
+    if cells.shape[1] != k + 1 or not np.array_equal(np.unique(cells), np.arange(n)):
+        return None
+    pts = coords[cells]
+    sigma, exact = _orient_signs(pts)
+    if not sigma.all():
+        return None
+
+    # ridge j of a cell omits its vertex j (the apex); the cell lies on the
+    # side of the ridge where orient(apex, ridge) = sigma * (-1)^j
+    m = len(cells)
+    ridges, apex = _faces(cells)
+    owner = np.repeat(np.arange(m), k + 1)
+    side = np.repeat(sigma, k + 1) * np.tile((-1) ** np.arange(k + 1), m)
+    order, same = _sorted_rows(ridges)
+    if (same[1:] & same[:-1]).any():
+        return None  # a ridge in three or more cells
+    a, b = order[:-1][same], order[1:][same]
+    if (side[a] != -side[b]).any():
+        return None
+    single = ~(np.r_[same, False] | np.r_[False, same])
+    bnd = order[single]
+
+    # closed boundary: every (k-2)-face of a boundary ridge is in exactly two
+    # of them; locally convex: each lies strictly on the inner side of the other
+    faces, dropped = _faces(ridges[bnd])
+    face_ridge = np.repeat(bnd, k)
+    order, same = _sorted_rows(faces)
+    if len(order) % 2 or not same[0::2].all() or same[1::2].any():
+        return None
+    x = np.concatenate([order[0::2], order[1::2]])
+    y = np.concatenate([order[1::2], order[0::2]])
+    convex, e = _orient_signs(np.concatenate(
+        [coords[dropped[y]][:, None], coords[ridges[face_ridge[x]]]], axis=1))
+    exact += e
+    if (convex != side[face_ridge[x]]).any():
+        return None
+
+    # one point covered exactly once: strictly inside the largest cell, in
+    # no other closed cell, and strictly inside every boundary ridge
+    c0 = int(np.abs(np.linalg.det(pts[:, 1:] - pts[:, :1])).argmax())
+    p = pts[c0].mean(axis=0)
+    near = ((pts.min(axis=1) <= p) & (p <= pts.max(axis=1))).all(axis=1)
+    near[c0] = True
+    cand = np.nonzero(near)[0]
+    swapped = np.repeat(pts[cand], k + 1, axis=0)
+    swapped[np.arange(len(swapped)), np.tile(np.arange(k + 1), len(cand))] = p
+    loc, e = _orient_signs(swapped)
+    exact += e
+    inside = loc.reshape(len(cand), k + 1) * sigma[cand][:, None]
+    mine = cand == c0
+    if not (inside[mine] > 0).all() or (inside[~mine] >= 0).all(axis=1).any():
+        return None
+    wall = np.concatenate([np.broadcast_to(p, (len(bnd), 1, k)), coords[ridges[bnd]]], axis=1)
+    seen, e = _orient_signs(wall)
+    exact += e
+    if (seen != side[bnd]).any():
+        return None
+
+    # strictly locally Delaunay: b's apex strictly outside a's circumsphere,
+    # where in_sphere = det sign * orientation * (-1)^k
+    det, e = _insphere_det_signs(pts[owner[a]], coords[apex[b]])
+    exact += e
+    inside = det * sigma[owner[a]] * (-1) ** k
+    if not inside.all():
+        return None
+    return cells, exact, [tuple(r) for r in ridges[a[inside > 0]].tolist()]
+
+
+def _flip_to_delaunay(coords: np.ndarray, cells: np.ndarray,
+                      ridges: list) -> np.ndarray | None:
+    """Lawson flips from a triangulation until its ridges are locally Delaunay.
+
+    ridges are the interior ridges known to fail. The k+2 vertices of the two
+    cells at a failing ridge have one affine dependence; the cells omitting a
+    vertex whose coefficient has the sign of the apexes' form one
+    triangulation of their hull, the cells omitting the others the second,
+    and a flip swaps the first for the second. A flip waits while some cell
+    of the first is missing. Returns the flipped cells, or None on a zero
+    sign or when no waiting ridge can be flipped. Each flip lowers the
+    lifted surface, so the loop ends; the result still has to pass _check.
+    """
+    n, k = coords.shape
+    # cells are read in around a vertex when a flip first comes near it
+    flat = cells.ravel()
+    by_vertex = np.argsort(flat, kind="stable")
+    star = np.searchsorted(flat[by_vertex], np.arange(n + 1))
+    by_vertex //= k + 1
+    loaded: set[int] = set()
+    row_of: dict[tuple[int, ...], int] = {}  # original cells read in so far
+    alive: set[tuple[int, ...]] = set()  # read-in and new cells not flipped away
+    dropped: list[int] = []
+    at_ridge: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+
+    def faces(c):
+        return [c[:j] + c[j + 1:] for j in range(len(c))]
+
+    def add(c):
+        alive.add(c)
+        for r in faces(c):
+            at_ridge.setdefault(r, set()).add(c)
+
+    def load(v):
+        if v not in loaded:
+            loaded.add(v)
+            for i in by_vertex[star[v]:star[v + 1]].tolist():
+                c = tuple(cells[i].tolist())
+                if c not in row_of:
+                    row_of[c] = i
+                    add(c)
+
+    todo, waiting, progressed = list(ridges), [], False
+    while todo or waiting:
+        if not todo:
+            if not progressed:
+                return None
+            todo, waiting, progressed = waiting, [], False
+        ridge = todo.pop()
+        load(ridge[0])
+        pair = at_ridge.get(ridge, ())
+        if len(pair) != 2:
+            continue
+        c1, c2 = pair
+        (u,) = set(c1) - set(ridge)
+        (v,) = set(c2) - set(ridge)
+        inside = in_sphere(coords[list(c1)], coords[v])
+        if inside is Sign.ZERO:
+            return None
+        if inside is Sign.NEGATIVE:
+            continue
+        verts = tuple(sorted(ridge + (u, v)))
+        for w in verts:
+            load(w)
+        circuit = faces(verts)
+        lam = [(-1) ** i * int(orient(coords[list(c)])) for i, c in enumerate(circuit)]
+        if 0 in lam:
+            return None
+        side = lam[verts.index(u)]
+        old = [c for c, s in zip(circuit, lam) if s == side]
+        if any(c not in alive for c in old):
+            waiting.append(ridge)
+            continue
+        for c in old:
+            alive.remove(c)
+            for r in faces(c):
+                at_ridge[r].discard(c)
+            if c in row_of:
+                dropped.append(row_of[c])
+        for c in (c for c, s in zip(circuit, lam) if s != side):
+            add(c)
+            todo += faces(c)
+        progressed = True
+    created = sorted(c for c in alive if c not in row_of)
+    return np.concatenate([np.delete(cells, dropped, axis=0),
+                           np.array(created, dtype=np.int64).reshape(-1, k + 1)])
+
+
+def _qhull_delaunay(ps: PointSet) -> tuple[list[tuple[int, ...]], BuildStats] | None:
+    """Qhull's cells once certified; None where the exact builder must decide."""
+    qhull = _qhull()
+    if qhull is None or ps.dim < 2:
+        return None
+    qhull_delaunay, qhull_error = qhull
+    try:
+        # translation leaves the triangulation unchanged but not Qhull's
+        # rounding: on jittered grids far from the origin, raw coordinates
+        # gave cells the certificate refused, centred ones did not
+        proposed = qhull_delaunay(ps.coords - ps.coords.mean(axis=0)).simplices
+    except qhull_error:
+        return None
+    checked = _check(ps.coords, proposed)
+    exact = 0
+    if checked is not None and checked[2]:
+        # Qhull merges facets of nearly cospherical points and splits them
+        # into cells in any order, so a few ridges may not be Delaunay
+        cells, exact, failing = checked
+        flipped = _flip_to_delaunay(ps.coords, cells, failing)
+        checked = None if flipped is None else _check(ps.coords, flipped)
+    if checked is None or checked[2]:
+        return None
+    cells, e, _ = checked
+    exact += e
+    return [tuple(c) for c in cells.tolist()], BuildStats(len(cells), exact, "qhull")
+
+
 def delaunay(points, *, jitter_seed: int | None = None,
              insertion_seed: int = 0) -> DelaunayGraph:
     """Delaunay triangulation of distinct points in general position.
 
     For n <= k+1 affinely independent points the result is the complete
-    graph (all Voronoi cells meet). Degenerate inputs raise
+    graph (all Voronoi cells meet). insertion_seed orders the exact
+    builder's insertions, so it matters only where Qhull's cells are not
+    certified; there it can decide whether a near-degenerate set is refused,
+    but never changes the cells returned. Degenerate inputs raise
     GeneralPositionError; opt-in jitter (seeded, 1e-9 x bbox diameter)
     resolves them at the cost of exactness of the coordinates.
     """
@@ -386,12 +667,16 @@ def delaunay(points, *, jitter_seed: int | None = None,
                 "small point set is affinely dependent; no unique dual graph")
         simplices = [tuple(range(ps.n))] if ps.n == k + 1 else []
         edges = list(combinations(range(ps.n), 2))
-        stats = BuildStats(0, 0)
+        stats = BuildStats(0, 0, "incremental")
     else:
-        builder = _HullBuilder(ps, insertion_seed)
-        simplices = sorted(builder.build())
+        certified = _qhull_delaunay(ps)
+        if certified is not None:
+            simplices, stats = certified
+        else:
+            builder = _HullBuilder(ps, insertion_seed)
+            simplices = sorted(builder.build())
+            stats = BuildStats(builder.created, builder.fallbacks, "incremental")
         edges = sorted({pair for verts in simplices for pair in combinations(verts, 2)})
-        stats = BuildStats(builder.created, builder.fallbacks)
 
     ii = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
     jj = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))

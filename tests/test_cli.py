@@ -188,6 +188,13 @@ def test_flag_negative_alpha_exits_1(capsys, triangle):
     assert code == 1
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_flag_non_finite_alpha_exits_1(capsys, triangle, alpha):
+    code, out, err = run(capsys, "flag", triangle, "--alpha", alpha)
+    assert code == 1 and out == ""
+    assert json.loads(err)["kind"] == "input"
+
+
 # --- triangulate -----------------------------------------------------------------
 
 def test_triangulate_triangle(capsys, triangle):
@@ -263,6 +270,18 @@ def test_simulate_invalid_flags_exit_1(capsys):
     code, _, err = run(capsys, "simulate", "--dim", "2")
     assert code == 1
     assert "usage" in json.loads(err)["message"]
+    code, _, err = run(capsys, "simulate", "--dim", "7", "--n", "30",
+                       "--replicates", "1", "--processes", "1")
+    assert code == 1
+    assert json.loads(err)["kind"] == "input"
+
+
+def test_simulate_bad_delo_threads_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("DELO_THREADS", "abc")
+    code, out, err = run(capsys, "simulate", "--dim", "2", "--n", "30",
+                         "--replicates", "1")
+    assert code == 1 and out == ""
+    assert "DELO_THREADS" in json.loads(err)["message"]
 
 
 def test_consistency_cli(capsys):

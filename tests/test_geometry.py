@@ -20,7 +20,7 @@ from delo import (
     lift,
     orient,
 )
-from delo.geometry import exact_det_sign
+from delo.geometry import _exact_insphere_signs, _exact_orient_signs, exact_det_sign
 
 from conftest import random_pointset
 
@@ -124,6 +124,30 @@ def test_insphere_near_cospherical_resolved_exactly():
     off = 2.0 ** -50
     assert in_sphere(UNIT_TRI, (1.0, 1.0 + off)) is Sign.NEGATIVE
     assert in_sphere(UNIT_TRI, (1.0, 1.0 - off)) is Sign.POSITIVE
+
+
+def test_exact_int_signs_match_rational(rng):
+    # near- and exactly degenerate batches over a wide exponent range: the
+    # scaled-integer signs equal those of Fraction arithmetic
+    for k in range(1, 7):
+        for trial in range(40):
+            scale = 10.0 ** rng.integers(-150, 150)
+            simplices = rng.standard_normal((4, k + 1, k)) * scale
+            queries = rng.standard_normal((4, k)) * scale
+            if trial % 2:
+                simplices = np.round(simplices / scale * 2) / 2 * scale
+                queries = np.round(queries / scale * 2) / 2 * scale
+            if trial % 3 == 0:
+                simplices[:, 0] = 0.0
+            want_orient = [exact_det_sign(
+                [[Fraction(a) - Fraction(b) for a, b in zip(row, s[0])] for row in s[1:]])
+                for s in simplices]
+            want_insphere = []
+            for s, q in zip(simplices, queries):
+                rows = [[Fraction(a) - Fraction(b) for a, b in zip(p, q)] for p in s]
+                want_insphere.append(exact_det_sign([r + [sum(x * x for x in r)] for r in rows]))
+            assert _exact_orient_signs(simplices) == want_orient
+            assert _exact_insphere_signs(simplices, queries) == want_insphere
 
 
 def test_insphere_many_matches_scalar(rng):

@@ -195,13 +195,16 @@ def test_pythagoras_precondition():
 
 # --- triple agreement (small smoke; the acceptance suite scales this up) ------
 
-@pytest.mark.parametrize("k,seed", [(2, 10), (3, 11), (4, 12)])
+@pytest.mark.parametrize("k,seed", [(2, 10), (3, 11), (4, 12), (5, 20), (5, 21), (5, 22),
+                                    (6, 23), (6, 24), (6, 25)])
 def test_triple_agreement_smoke(k, seed):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(k + 2, 20))
+    # brute force grows like n^(k+2): keep n <= 12 in dimensions 5 and 6
+    n = int(rng.integers(k + 2, 20 if k <= 4 else 13))
     pts = rng.uniform(-1, 1, (n, k))
     hull = delaunay(pts).edge_set()
     assert hull == delaunay_bruteforce(pts)
     witness = {(i, j) for i, j in combinations(range(n), 2)
                if adjacent_witness(pts, i, j).adjacent}
     assert witness == hull
+

@@ -99,6 +99,10 @@ def test_score_from_edges_validation():
         score_from_edges(3, [(0, 1, 1.0)])  # point 2 isolated
     with pytest.raises(ValueError):
         score_from_edges(2, [(0, 1, 0.0)])
+    # an index out of range is refused, not wrapped around or left to IndexError
+    for bad in ((0, -1, 5.0), (0, 3, 5.0), (-1, 2, 5.0)):
+        with pytest.raises(ValueError, match="out of range"):
+            score_from_edges(3, [(0, 1, 1.0), (1, 2, 2.0), bad])
 
 
 # --- relative outlyingness -----------------------------------------------------
@@ -151,8 +155,9 @@ def test_flag_ties_included():
 
 
 def test_flag_negative_alpha_rejected():
-    with pytest.raises(ValueError):
-        flag(table_for(TRIANGLE), -0.5)
+    for alpha in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            flag(table_for(TRIANGLE), alpha)
 
 
 @settings(max_examples=30, deadline=None)

@@ -35,6 +35,8 @@ def test_config_defaults_origin_outlier():
     dict(replicates=0),
     dict(n_inliers=2),
     dict(outliers=((0.0,),)),
+    dict(dim=0),
+    dict(dim=7),
 ])
 def test_config_validation(kw):
     with pytest.raises(ValueError):

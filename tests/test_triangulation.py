@@ -1,6 +1,13 @@
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import delo
 from delo import (
     DuplicatePointError,
     GeneralPositionError,
@@ -8,9 +15,14 @@ from delo import (
     PointSet,
     delaunay,
     incident_edges,
+    jitter_points,
     max_edge_length,
+    triangulation,
 )
 from delo.oracle import delaunay_bruteforce
+from delo.simulation import SimulationConfig, sample_shell
+from delo.geometry import orient
+from delo.triangulation import _HullBuilder, _certify, _check, _flip_to_delaunay
 
 from conftest import random_pointset
 
@@ -198,3 +210,209 @@ def test_interior_point_fan():
     g = delaunay([(0, 0), (4, 0), (0, 4), (1, 1)])
     assert g.edge_set() == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
     assert len(g.simplices) == 3
+
+
+# --- Qhull proposal, exact certificate, builder fallback -------------------------
+
+needs_scipy = pytest.mark.skipif(importlib.util.find_spec("scipy") is None,
+                                 reason="Qhull comes from scipy")
+
+
+def _builder_simplices(ps):
+    return tuple(sorted(_HullBuilder(ps, 0).build()))
+
+
+def _jittered_grid(shape, seed):
+    rng = np.random.default_rng(seed)
+    origin = np.round(rng.uniform(10.0, 11.0, len(shape)), 2)
+    axes = [np.round(origin[d] + 0.25 * np.arange(m), 2) for d, m in enumerate(shape)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(shape))
+    return jitter_points(grid[rng.permutation(len(grid))], seed)
+
+
+def _certified_cells(pts):
+    certified = _certify(np.asarray(pts, dtype=float), delaunay(pts).simplices)
+    assert certified is not None
+    return certified[0].tolist()
+
+
+def test_certificate_rejects_non_delaunay_diagonal():
+    quad = np.array([(0, 0), (4, 0), (5, 3), (0, 1)], dtype=float)
+    assert _certify(quad, [(0, 1, 2), (0, 2, 3)]) is None
+    assert _certify(quad, [(0, 1, 3), (1, 2, 3)])[0].tolist() == [[0, 1, 3], [1, 2, 3]]
+
+
+def test_certificate_rejects_dropped_and_duplicated_cells():
+    pts = random_pointset(5, 15, 2).coords
+    cells = _certified_cells(pts)
+    for drop in range(len(cells)):
+        assert _certify(pts, cells[:drop] + cells[drop + 1:]) is None
+    assert _certify(pts, cells + cells[:1]) is None
+
+
+def test_certificate_rejects_flat_cell_and_unused_point():
+    line = np.array([(0, 0), (1, 0), (2, 0), (1, 1)], dtype=float)
+    assert _certify(line, [(0, 1, 3), (1, 2, 3), (0, 1, 2)]) is None
+    fan = np.array([(0, 0), (4, 0), (0, 4), (1, 1)], dtype=float)
+    assert _certify(fan, [(0, 1, 2)]) is None
+
+
+def test_certificate_rejects_branched_double_cover():
+    # a pentagram fanned from the centre: every ridge, boundary turn and
+    # in-sphere sign is fine, but the inner pentagon is covered twice
+    a = np.pi / 2 + 2 * np.pi * np.arange(5) / 5
+    pts = np.vstack([np.c_[np.cos(a), np.sin(a)], [(0.0, 0.0)]])
+    assert _certify(pts, [(5, i, (i + 2) % 5) for i in range(5)]) is None
+
+
+def test_certificate_rejects_separately_triangulated_clusters():
+    pts = np.array([(0, 0), (1, 0), (0, 1), (5, 5), (6, 5), (5, 6)], dtype=float)
+    assert _certify(pts, [(0, 1, 2), (3, 4, 5)]) is None
+
+
+def _interior_ridges(cells):
+    seen = {}
+    for c in cells:
+        for j in range(len(c)):
+            r = c[:j] + c[j + 1:]
+            seen[r] = seen.get(r, 0) + 1
+    return sorted(r for r, count in seen.items() if count == 2)
+
+
+def _unflip(coords, cells, ridge):
+    """The cells with the two at ridge replaced by the other triangulation of
+    their k+2 vertices, or None if that needs more than these two cells."""
+    c1, c2 = [c for c in cells if set(ridge) <= set(c)]
+    verts = tuple(sorted(set(c1) | set(c2)))
+    circuit = [tuple(v for v in verts if v != w) for w in verts]
+    lam = [(-1) ** i * int(orient(coords[list(c)])) for i, c in enumerate(circuit)]
+    (u,) = set(c1) - set(ridge)
+    side = lam[verts.index(u)]
+    old = {c for c, s in zip(circuit, lam) if s == side}
+    if old != {c1, c2}:
+        return None
+    return sorted((set(cells) - old) | {c for c, s in zip(circuit, lam) if s != side})
+
+
+def test_flips_repair_non_delaunay_diagonal():
+    quad = np.array([(0, 0), (4, 0), (5, 3), (0, 1)], dtype=float)
+    cells, _, failing = _check(quad, [(0, 1, 2), (0, 2, 3)])
+    assert failing == [(0, 2)]
+    flipped = _flip_to_delaunay(quad, cells, failing)
+    assert _certify(quad, flipped)[0].tolist() == [[0, 1, 3], [1, 2, 3]]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_flips_undo_wrong_flips(k):
+    # a 2 -> k flip of a Delaunay ridge makes a triangulation that fails only
+    # the Delaunay check; in 3-D and up the repair needs k -> 2 flips
+    ps = random_pointset(40 + k, {2: 30, 3: 25, 4: 20}[k], k)
+    want = delaunay(ps).simplices
+    undone = 0
+    for ridge in _interior_ridges(want):
+        cells = _unflip(ps.coords, want, ridge)
+        if cells is None:
+            continue
+        assert _certify(ps.coords, cells) is None
+        checked = _check(ps.coords, cells)
+        assert checked is not None and checked[2]
+        flipped = _flip_to_delaunay(ps.coords, checked[0], checked[2])
+        assert tuple(map(tuple, _certify(ps.coords, flipped)[0].tolist())) == want
+        undone += 1
+        if undone == 5:
+            break
+    assert undone == 5
+
+
+def _benchmark_grids(seed):
+    # the jittered grids of the benchmark's grid_jitter workload
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 3])))
+    grids = []
+    for shape in ((50, 50), (8, 8, 8)):
+        origin = np.round(rng.uniform(10.0, 11.0, len(shape)), 2)
+        axes = [np.round(origin[d] + 0.25 * np.arange(m), 2) for d, m in enumerate(shape)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(shape))
+        coords = grid[rng.permutation(len(grid))]
+        grids.append(jitter_points(coords, int(rng.integers(2 ** 31))))
+    return grids
+
+
+@needs_scipy
+@pytest.mark.parametrize("seed, which", [(4, 0), (6, 1)])
+def test_qhull_path_on_grids_qhull_splits_badly(seed, which):
+    # with scipy 1.17, Qhull's cells for these grids have 1-3 ridges that are
+    # not Delaunay; the flips keep them off the slow builder
+    ps = _benchmark_grids(seed)[which]
+    g = delaunay(ps)
+    assert g.stats.backend == "qhull"
+    assert g.simplices == _builder_simplices(ps)
+
+
+@needs_scipy
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_qhull_path_matches_builder_random(k):
+    for seed in range(3):
+        n = {2: 60, 3: 40, 4: 30, 5: 16, 6: 12}[k] + seed
+        ps = random_pointset(100 * k + seed, n, k)
+        g = delaunay(ps)
+        assert g.stats.backend == "qhull"
+        assert g.stats.facets_created == len(g.simplices)
+        assert g.simplices == _builder_simplices(ps)
+
+
+@needs_scipy
+@pytest.mark.parametrize("shape", [(50, 50), (8, 8, 8)])
+def test_qhull_path_matches_builder_jittered_grid(shape):
+    ps = _jittered_grid(shape, 3)
+    g = delaunay(ps)
+    assert g.stats.backend == "qhull"
+    assert g.simplices == _builder_simplices(ps)
+
+
+@needs_scipy
+def test_qhull_path_on_shell_replicate():
+    cfg = SimulationConfig(dim=4, n_inliers=299, replicates=1, seed=7)
+    assert delaunay(sample_shell(cfg, 0)).stats.backend == "qhull"
+
+
+def test_builder_fallback_without_scipy(monkeypatch):
+    ps = random_pointset(3, 30, 3)
+    want = delaunay(ps)
+    monkeypatch.setattr(triangulation, "_qhull", lambda: None)
+    g = delaunay(ps)
+    assert g.stats.backend == "incremental"
+    assert g.simplices == want.simplices and g.edge_lengths == want.edge_lengths
+
+
+def test_builder_fallback_when_qhull_raises(monkeypatch):
+    class Failed(Exception):
+        pass
+
+    def qhull_delaunay(coords):
+        raise Failed
+
+    monkeypatch.setattr(triangulation, "_qhull", lambda: (qhull_delaunay, Failed))
+    g = delaunay(random_pointset(4, 20, 2))
+    assert g.stats.backend == "incremental"
+
+
+@needs_scipy
+def test_unique_triangulation_for_every_insertion_seed():
+    # the circle through the square's corners holds (0.5, 0.5): the Delaunay
+    # triangulation is unique, whatever the builder would meet on the way
+    pts = [(0, 0), (1, 0), (0, 1), (1, 1), (0.5, 0.5), (3, 0.2), (-2, 0.7)]
+    results = {delaunay(pts, insertion_seed=seed).simplices for seed in range(20)}
+    assert results == {((0, 1, 4), (0, 2, 4), (0, 2, 6), (1, 3, 4), (1, 3, 5), (2, 3, 4))}
+    for seed in range(20):
+        with pytest.raises(GeneralPositionError) as exc:
+            delaunay(pts[:4], insertion_seed=seed)
+        assert (exc.value.kind, exc.value.subset) == ("cospherical", (0, 1, 2, 3))
+
+
+def test_import_does_not_load_scipy():
+    src = Path(delo.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c",
+                    "import delo.cli, sys; assert 'scipy' not in sys.modules"],
+                   env=env, check=True, timeout=120)
