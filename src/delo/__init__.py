@@ -16,7 +16,7 @@ from .geometry import (
     lift,
     orient,
 )
-from .triangulation import DelaunayGraph, delaunay, incident_edges, max_edge_length
+from .triangulation import DelaunayGraph, delaunay
 
 __all__ = [
     "DegenerateSimplexError",
@@ -32,10 +32,8 @@ __all__ = [
     "distance",
     "in_sphere",
     "in_sphere_many",
-    "incident_edges",
     "jitter_points",
     "lift",
-    "max_edge_length",
     "orient",
 ]
 

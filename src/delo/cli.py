@@ -221,7 +221,8 @@ def cmd_triangulate(args) -> int:
         if ps.n > BRUTEFORCE_MAX_N:
             raise CLIInputError(f"--oracle is limited to n <= {BRUTEFORCE_MAX_N}")
         agreement = delaunay_bruteforce(ps) == graph.edge_set()
-    edges = [(i, j, graph.edge_lengths[(i, j)]) for i, j in graph.edges()]
+    edges = [(i, j, length)
+             for (i, j), length in zip(graph.edges.tolist(), graph.lengths.tolist())]
     if args.format == "json":
         obj = {"schema_version": EDGES_SCHEMA,
                "edges": [[i, j, length] for i, j, length in edges],

@@ -259,40 +259,33 @@ def _insphere_det_signs(pts: np.ndarray, queries: np.ndarray) -> tuple[np.ndarra
     return signs, int(bad.sum())
 
 
-def in_sphere(simplex, query) -> Sign:
-    """Position of a query point relative to the circumsphere of a simplex.
+def in_sphere_many(simplex, queries) -> np.ndarray:
+    """Position of each of m query points relative to the circumsphere of a simplex.
 
-    POSITIVE strictly inside, ZERO on the sphere, NEGATIVE strictly outside,
-    independent of the order in which the simplex points are given.
+    Returns an (m,) int64 array: 1 strictly inside, 0 on the sphere, -1
+    strictly outside, independent of the order in which the simplex points
+    are given. queries must be an (m, k) array of finite points.
     """
     pts = _as_points(simplex)
     k = pts.shape[1]
     if pts.shape[0] != k + 1:
         raise GeometryError(f"in_sphere in R^{k} needs a {k + 1}-point simplex")
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (k,):
+    qs = _as_points(queries)
+    if qs.shape[1] != k:
         raise GeometryError("query dimension does not match the simplex")
-    if not np.all(np.isfinite(q)):
-        raise GeometryError("non-finite coordinate in predicate input")
     s_or = orient(pts)
     if s_or is Sign.ZERO:
         raise DegenerateSimplexError("in_sphere needs an affinely independent simplex")
-    s = int(_insphere_det_signs(pts, q[None, :])[0][0])
+    signs, _ = _insphere_det_signs(pts, qs)
     # parity: the translated determinant equals the homogeneous one up to
     # the k row swaps that move the query row into place
-    return Sign(s * int(s_or) * (-1 if k % 2 else 1))
-
-
-def in_sphere_many(simplex, queries) -> np.ndarray:
-    """Vectorized in_sphere for one simplex against many query points."""
-    pts = _as_points(simplex)
-    k = pts.shape[1]
-    s_or = orient(pts)
-    if s_or is Sign.ZERO:
-        raise DegenerateSimplexError("in_sphere needs an affinely independent simplex")
-    qs = np.asarray(queries, dtype=np.float64).reshape(-1, k)
-    signs, _ = _insphere_det_signs(pts, qs)
     return signs * (int(s_or) * (-1 if k % 2 else 1))
+
+
+def in_sphere(simplex, query) -> Sign:
+    """Position of a query point relative to the circumsphere of a simplex,
+    as a Sign (see in_sphere_many)."""
+    return Sign(int(in_sphere_many(simplex, [query])[0]))
 
 
 def lift(point) -> np.ndarray:
@@ -337,21 +330,25 @@ class GeneralPositionReport:
     mode: str
 
 
+def full_row_rank(rows: Sequence[Sequence], d: int) -> bool:
+    """Whether j rows of d exact entries are linearly independent.
+
+    Rank j iff j <= d and some j x j column minor is nonsingular.
+    """
+    j = len(rows)
+    return j == 0 or j <= d and any(
+        exact_det_sign([[row[c] for c in cols] for row in rows]) != 0
+        for cols in combinations(range(d), j))
+
+
 def is_affinely_independent(pts) -> bool:
     """Exact affine-independence test for up to k+1 points in R^k."""
     arr = _as_points(pts)
-    j, k = arr.shape[0] - 1, arr.shape[1]
-    if j <= 0:
+    if len(arr) <= 1:
         return True
-    if j > k:
-        return False
-    rows = [[Fraction(arr[r][c]) - Fraction(arr[0][c]) for c in range(k)]
-            for r in range(1, j + 1)]
-    # rank j iff some j x j column minor is nonsingular
-    for cols in combinations(range(k), j):
-        if exact_det_sign([[row[c] for c in cols] for row in rows]) != 0:
-            return True
-    return False
+    base = [Fraction(c) for c in arr[0]]
+    return full_row_rank([[Fraction(c) - b for c, b in zip(row, base)] for row in arr[1:]],
+                         arr.shape[1])
 
 
 def affinely_independent_subset(coords) -> list[int]:

@@ -37,36 +37,45 @@ class FlagReport:
     flagged: tuple[int, ...]
 
 
+def _table(n: int, ends: np.ndarray, lengths: np.ndarray, dim: int) -> ScoreTable:
+    """Mean log length of the edges at each point; edge e joins the points
+    ends[e] and has length lengths[e].
+
+    Each point's logs are added in edge order, starting from 0.0. math.log,
+    not np.log: the two differ in the last bit on some lengths.
+    """
+    logs = np.fromiter(map(math.log, lengths.tolist()), dtype=np.float64, count=len(lengths))
+    ends = ends.ravel()
+    degree = np.bincount(ends, minlength=n)
+    if not degree.all():
+        raise ValueError(f"point {int(np.argmin(degree))} has no incident edges")
+    log_scores = np.bincount(ends, weights=np.repeat(logs, 2), minlength=n) / degree
+    return ScoreTable(scores=np.exp(log_scores), log_scores=log_scores, n=n, dim=dim)
+
+
 def score(graph: DelaunayGraph) -> ScoreTable:
     """Geometric mean of the lengths of the edges incident to each point."""
-    if graph.n < 2:
-        raise ValueError("scores need at least 2 points")
-    log_scores = np.empty(graph.n)
-    for i, nbrs in enumerate(graph.adjacency):
-        acc = 0.0
-        for j in nbrs:
-            acc += math.log(graph.edge_lengths[(i, j) if i < j else (j, i)])
-        log_scores[i] = acc / len(nbrs)
-    return ScoreTable(scores=np.exp(log_scores), log_scores=log_scores,
-                      n=graph.n, dim=graph.dim)
+    return _table(graph.n, graph.edges, graph.lengths, graph.dim)
 
 
 def score_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> ScoreTable:
-    """Scores from an explicit (i, j, length) edge list; dim is unknown (0)."""
-    logs: list[list[float]] = [[] for _ in range(n)]
-    for i, j, length in edges:
+    """Scores from an explicit (i, j, length) edge list; dim is unknown (0).
+
+    Raises ValueError unless every index is an integer in [0, n), every
+    length is finite and positive, and every point has an incident edge.
+    """
+    edges = list(edges)
+    ends = np.array([(i, j) for i, j, _ in edges] or np.empty((0, 2), dtype=np.int64))
+    lengths = np.array([length for _, _, length in edges], dtype=np.float64)
+    if ends.dtype.kind not in "iu":
+        raise ValueError("edge indices must be integers")
+    bad = ((ends < 0) | (ends >= n)).any(axis=1) | ~(np.isfinite(lengths) & (lengths > 0))
+    if bad.any():
+        i, j, length = edges[int(np.argmax(bad))]
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i},{j}) out of range")
-        if length <= 0:
-            raise ValueError(f"edge ({i},{j}) has non-positive length")
-        val = math.log(length)
-        logs[i].append(val)
-        logs[j].append(val)
-    if any(not l for l in logs):
-        bad = next(i for i, l in enumerate(logs) if not l)
-        raise ValueError(f"point {bad} has no incident edges")
-    log_scores = np.array([sum(l) / len(l) for l in logs])
-    return ScoreTable(scores=np.exp(log_scores), log_scores=log_scores, n=n, dim=0)
+        raise ValueError(f"edge ({i},{j}) has length {length!r}, not finite and positive")
+    return _table(n, ends, lengths, dim=0)
 
 
 def relative_outlyingness(table: ScoreTable, ref: int) -> np.ndarray:

@@ -268,14 +268,10 @@ def _consistency_replicate(args):
     ps = PointSet(np.vstack([inliers, np.array(outliers)]))
     graph = delaunay(ps)
     table = score(graph)
-    lam_in = 0.0
-    lam_all = 0.0
-    for (i, j), length in graph.edge_lengths.items():
-        lam_all = max(lam_all, length)
-        if i < n and j < n:
-            lam_in = max(lam_in, length)
+    # rows are i < j, so an edge joins two inliers iff j < n
+    lam_in = float(graph.lengths[graph.edges[:, 1] < n].max(initial=0.0))
     return (float(table.scores[n:].min()), float(table.scores[:n].max()),
-            lam_in, lam_all)
+            lam_in, graph.max_edge_length())
 
 
 def run_consistency_experiment(*, dim: int, radius: float, center, outliers,

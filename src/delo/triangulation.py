@@ -24,7 +24,7 @@ the way are reported as errors naming the offending subset.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -39,7 +39,9 @@ from .geometry import (
     _filtered_det_signs,
     _insphere_det_signs,
     _orient_signs,
+    affinely_independent_subset,
     exact_det_sign,
+    full_row_rank,
     in_sphere,
     is_affinely_independent,
     jitter_points,
@@ -66,51 +68,56 @@ class BuildStats:
     backend: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelaunayGraph:
-    """Undirected Delaunay adjacency with cached Euclidean edge lengths."""
+    """Undirected Delaunay graph as read-only flat arrays.
+
+    edges is an (E, 2) int64 array of vertex pairs i < j in lexicographic
+    order, and lengths[e] is the Euclidean length of edges[e]. The neighbours
+    of point i are indices[indptr[i]:indptr[i + 1]] (CSR), in ascending order.
+    Graphs compare by identity: their arrays have no single truth value.
+    """
 
     n: int
     dim: int
-    adjacency: tuple[tuple[int, ...], ...]
-    edge_lengths: dict[tuple[int, int], float]
+    edges: np.ndarray
+    lengths: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
     simplices: tuple[tuple[int, ...], ...]
     insertion_seed: int
     jitter_seed: int | None
-    stats: BuildStats = field(compare=False, default=BuildStats(0, 0, "incremental"))
+    stats: BuildStats = BuildStats(0, 0, "incremental")
+
+    def __post_init__(self):
+        for arr in (self.edges, self.lengths, self.indptr, self.indices):
+            arr.setflags(write=False)
 
     def incident_edges(self, i: int) -> list[tuple[int, float]]:
         """E(x_i): (neighbor index, edge length) pairs, sorted by neighbor."""
         if not 0 <= i < self.n:
             raise IndexError(f"point index {i} out of range [0, {self.n})")
-        return [(j, self.edge_lengths[(min(i, j), max(i, j))]) for j in self.adjacency[i]]
-
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edge_lengths)
+        # the rows (a, i), a < i, come before the rows (i, b), as the neighbours do
+        rows = np.flatnonzero((self.edges == i).any(axis=1))
+        return list(zip(self.indices[self.indptr[i]:self.indptr[i + 1]].tolist(),
+                        self.lengths[rows].tolist()))
 
     def edge_set(self) -> set[tuple[int, int]]:
-        return set(self.edge_lengths)
+        return set(map(tuple, self.edges.tolist()))
 
     def max_edge_length(self) -> float:
-        return max(self.edge_lengths.values())
+        return float(self.lengths.max())
 
     def is_connected(self) -> bool:
         seen = {0}
         stack = [0]
         while stack:
-            for j in self.adjacency[stack.pop()]:
+            i = stack.pop()
+            for j in self.indices[self.indptr[i]:self.indptr[i + 1]].tolist():
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
         return len(seen) == self.n
-
-
-def incident_edges(graph: DelaunayGraph, i: int) -> list[tuple[int, float]]:
-    return graph.incident_edges(i)
-
-
-def max_edge_length(graph: DelaunayGraph) -> float:
-    return graph.max_edge_length()
 
 
 class _Facet:
@@ -169,17 +176,9 @@ class _HullBuilder:
         return exact_det_sign(rows)
 
     def _lifted_independent(self, idxs: list[int]) -> bool:
-        j = len(idxs) - 1
-        if j <= 0:
-            return True
-        if j > self.d:
-            return False
         base = self._lift_exact(idxs[0])
-        rows = [[a - b for a, b in zip(self._lift_exact(v), base)] for v in idxs[1:]]
-        for cols in combinations(range(self.d), j):
-            if exact_det_sign([[row[c] for c in cols] for row in rows]) != 0:
-                return True
-        return False
+        return full_row_rank(
+            [[a - b for a, b in zip(self._lift_exact(v), base)] for v in idxs[1:]], self.d)
 
     # -- batched visibility -------------------------------------------------
 
@@ -234,8 +233,6 @@ class _HullBuilder:
                     return chosen
         # every remaining point is affinely dependent on the chosen lifted
         # ones: the whole set is cospherical or fails to span
-        from .geometry import affinely_independent_subset
-
         if len(affinely_independent_subset(self.coords)) < self.ps.dim + 1:
             raise GeneralPositionError(
                 "affine_span", tuple(range(self.n)),
@@ -610,7 +607,7 @@ def _flip_to_delaunay(coords: np.ndarray, cells: np.ndarray,
                            np.array(created, dtype=np.int64).reshape(-1, k + 1)])
 
 
-def _qhull_delaunay(ps: PointSet) -> tuple[list[tuple[int, ...]], BuildStats] | None:
+def _qhull_delaunay(ps: PointSet) -> tuple[np.ndarray, BuildStats] | None:
     """Qhull's cells once certified; None where the exact builder must decide."""
     qhull = _qhull()
     if qhull is None or ps.dim < 2:
@@ -635,7 +632,7 @@ def _qhull_delaunay(ps: PointSet) -> tuple[list[tuple[int, ...]], BuildStats] | 
         return None
     cells, e, _ = checked
     exact += e
-    return [tuple(c) for c in cells.tolist()], BuildStats(len(cells), exact, "qhull")
+    return cells, BuildStats(len(cells), exact, "qhull")
 
 
 def delaunay(points, *, jitter_seed: int | None = None,
@@ -665,38 +662,38 @@ def delaunay(points, *, jitter_seed: int | None = None,
             raise GeneralPositionError(
                 "affine_span", tuple(range(ps.n)),
                 "small point set is affinely dependent; no unique dual graph")
-        simplices = [tuple(range(ps.n))] if ps.n == k + 1 else []
-        edges = list(combinations(range(ps.n), 2))
+        cells = np.arange(ps.n)[None]  # every pair is an edge
+        simplices = (tuple(range(ps.n)),) if ps.n == k + 1 else ()
         stats = BuildStats(0, 0, "incremental")
     else:
         certified = _qhull_delaunay(ps)
         if certified is not None:
-            simplices, stats = certified
+            cells, stats = certified
         else:
             builder = _HullBuilder(ps, insertion_seed)
-            simplices = sorted(builder.build())
+            cells = np.array(sorted(builder.build()), dtype=np.int64)
             stats = BuildStats(builder.created, builder.fallbacks, "incremental")
-        edges = sorted({pair for verts in simplices for pair in combinations(verts, 2)})
+        simplices = tuple(map(tuple, cells.tolist()))
 
-    ii = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-    jj = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
-    lengths = np.linalg.norm(ps.coords[ii] - ps.coords[jj], axis=1)
-    edge_lengths = {e: float(l) for e, l in zip(edges, lengths)}
-
-    adj: list[list[int]] = [[] for _ in range(ps.n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    if ps.n >= 2 and any(not a for a in adj):
-        missing = [i for i, a in enumerate(adj) if not a]
-        raise RuntimeError(f"points {missing} have no incident edges")
+    # the edges are the vertex pairs of the cells (rows ascend, so i < j),
+    # deduplicated and ordered by the key i*n + j; every point has one, as
+    # _check and _lower_simplices refuse cells that miss a point
+    n = ps.n
+    pairs = cells[:, list(combinations(range(cells.shape[1]), 2))]
+    keys = np.unique(pairs[..., 0] * n + pairs[..., 1])
+    i, j = keys // n, keys % n
+    # neighbours of p: the i of rows (i, p), then the j of rows (p, j); both
+    # runs ascend, so one stable sort by p keeps every neighbour list sorted
+    src, dst = np.concatenate([j, i]), np.concatenate([i, j])
 
     return DelaunayGraph(
-        n=ps.n,
+        n=n,
         dim=k,
-        adjacency=tuple(tuple(sorted(a)) for a in adj),
-        edge_lengths=edge_lengths,
-        simplices=tuple(simplices),
+        edges=np.column_stack([i, j]),
+        lengths=np.linalg.norm(ps.coords[i] - ps.coords[j], axis=1),
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))]),
+        indices=dst[np.argsort(src, kind="stable")],
+        simplices=simplices,
         insertion_seed=insertion_seed,
         jitter_seed=jitter_seed,
         stats=stats,

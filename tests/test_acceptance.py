@@ -91,7 +91,7 @@ def test_criterion_03_euler_counts_2d():
         coords = rng.uniform(-1.0, 1.0, size=(n, 2))
         g = delaunay(coords)
         h = _hull_vertex_count(coords)
-        assert len(g.edge_lengths) == 3 * n - 3 - h
+        assert len(g.lengths) == 3 * n - 3 - h
         assert len(g.simplices) == 2 * n - 2 - h
 
 

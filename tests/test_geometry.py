@@ -156,8 +156,21 @@ def test_insphere_many_matches_scalar(rng):
         pytest.skip("degenerate draw")
     qs = rng.uniform(-2, 2, (40, 3))
     batch = in_sphere_many(pts, qs)
+    assert set(batch.tolist()) <= {-1, 0, 1}
     for q, s in zip(qs, batch):
         assert int(in_sphere(pts, q)) == int(s)
+
+
+def test_insphere_many_refuses_bad_queries():
+    # non-finite queries used to give the sign -2**63 with a RuntimeWarning,
+    # and queries of the wrong dimension numpy's reshape error
+    for bad in ([(0.5, math.nan)], [(math.inf, 0.0)], [(0.5, 0.5, 0.5)], [(0.5,)],
+                [0.5, 0.5], np.zeros((3, 1))):
+        with pytest.raises(GeometryError):
+            in_sphere_many(UNIT_TRI, bad)
+    for bad in ((0.5, math.nan), (0.5, 0.5, 0.5), (0.5,), 0.5, [(0.5, 0.5)]):
+        with pytest.raises(GeometryError):
+            in_sphere(UNIT_TRI, bad)
 
 
 # --- lift / distance ---------------------------------------------------------

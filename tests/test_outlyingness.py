@@ -77,6 +77,19 @@ def test_log_space_agrees_with_direct_product(rng):
         assert t.scores[i] == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_scores_equal_a_per_point_loop(k):
+    # reference: each point's logs added in neighbour order, then divided
+    g = delaunay(random_pointset(20 + k, 30, k))
+    want = []
+    for i in range(g.n):
+        acc = 0.0
+        for _, length in g.incident_edges(i):
+            acc += math.log(length)
+        want.append(acc / len(g.incident_edges(i)))
+    assert score(g).log_scores.tolist() == want
+
+
 def test_log_space_survives_product_underflow():
     # a star of many short edges: the raw product underflows to zero but the
     # log-domain geometric mean stays exact
@@ -89,9 +102,10 @@ def test_log_space_survives_product_underflow():
 
 def test_score_from_edges_matches_graph_scores():
     g = delaunay(random_pointset(12, 20, 2))
-    edges = [(i, j, l) for (i, j), l in g.edge_lengths.items()]
+    edges = [(i, j, l) for (i, j), l in zip(g.edges.tolist(), g.lengths.tolist())]
     t = score_from_edges(g.n, edges)
-    assert t.scores == pytest.approx(score(g).scores, rel=1e-15)
+    assert np.array_equal(t.log_scores, score(g).log_scores)
+    assert np.array_equal(t.scores, score(g).scores)
 
 
 def test_score_from_edges_validation():
@@ -99,10 +113,30 @@ def test_score_from_edges_validation():
         score_from_edges(3, [(0, 1, 1.0)])  # point 2 isolated
     with pytest.raises(ValueError):
         score_from_edges(2, [(0, 1, 0.0)])
+    # a non-finite length is refused, not turned into NaN or infinite scores
+    for length in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            score_from_edges(2, [(0, 1, length)])
+    # a float index is refused with a ValueError, not a bare TypeError
+    with pytest.raises(ValueError, match="integers"):
+        score_from_edges(3, [(0.5, 1, 2.0), (1, 2, 2.0)])
     # an index out of range is refused, not wrapped around or left to IndexError
     for bad in ((0, -1, 5.0), (0, 3, 5.0), (-1, 2, 5.0)):
         with pytest.raises(ValueError, match="out of range"):
             score_from_edges(3, [(0, 1, 1.0), (1, 2, 2.0), bad])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(6, 60), st.integers(0, 2**32 - 1))
+def test_permuting_rows_permutes_edges_and_scores(k, n, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1, 1, (n, k))
+    perm = rng.permutation(n)  # row r of the permuted set is point perm[r]
+    g, gp = delaunay(pts), delaunay(pts[perm])
+    mapped = {tuple(sorted((int(perm[a]), int(perm[b])))) for a, b in gp.edge_set()}
+    assert mapped == g.edge_set()
+    # each point's logs are summed in another order, so not bit for bit
+    assert score(gp).log_scores == pytest.approx(score(g).log_scores[perm], rel=1e-12)
 
 
 # --- relative outlyingness -----------------------------------------------------

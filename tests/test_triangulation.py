@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -14,9 +15,7 @@ from delo import (
     GeometryError,
     PointSet,
     delaunay,
-    incident_edges,
     jitter_points,
-    max_edge_length,
     triangulation,
 )
 from delo.oracle import delaunay_bruteforce
@@ -29,8 +28,8 @@ from conftest import random_pointset
 
 def test_triangle_is_complete_with_expected_lengths():
     g = delaunay([(0, 0), (3, 0), (0, 4)])
-    assert g.edges() == [(0, 1), (0, 2), (1, 2)]
-    assert sorted(g.edge_lengths.values()) == [3.0, 4.0, 5.0]
+    assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert sorted(g.lengths.tolist()) == [3.0, 4.0, 5.0]
     assert g.simplices == ((0, 1, 2),)
 
 
@@ -38,7 +37,7 @@ def test_four_point_example_matches_oracle():
     pts = [(0, 0), (1, 0), (0, 1), (0.9, 0.9)]
     g = delaunay(pts)
     assert g.edge_set() == delaunay_bruteforce(pts)
-    assert g.edges() == [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
+    assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 3], [2, 3]]
     assert (1, 2) not in g.edge_set()
 
 
@@ -51,7 +50,33 @@ def test_4d_minimal_sample_matches_oracle(rng):
 def test_incident_edges_triangle():
     g = delaunay([(0, 0), (3, 0), (0, 4)])
     assert g.incident_edges(0) == [(1, 3.0), (2, 4.0)]
-    assert incident_edges(g, 0) == g.incident_edges(0)
+
+
+def test_graph_arrays_are_read_only_and_edge_set_has_python_ints():
+    g = delaunay(random_pointset(5, 30, 2))
+    for arr in (g.edges, g.lengths, g.indptr, g.indices):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    edges = g.edge_set()
+    assert all(type(i) is int and type(j) is int for i, j in edges)
+    # plain ints serialise (the benchmark hands edge sets to json.dumps)
+    assert json.loads(json.dumps(sorted(edges))) == g.edges.tolist()
+
+
+def test_graph_array_orders():
+    ps = random_pointset(6, 40, 3)
+    g = delaunay(ps)
+    assert g.edges.dtype == np.int64 and g.edges.shape == (len(g.lengths), 2)
+    assert (g.edges[:, 0] < g.edges[:, 1]).all()
+    keys = g.edges[:, 0] * g.n + g.edges[:, 1]
+    assert (np.diff(keys) > 0).all()  # lexicographic, no repeats
+    assert g.indptr[0] == 0 and g.indptr[-1] == 2 * len(g.edges)
+    for i in range(g.n):
+        nbrs = g.indices[g.indptr[i]:g.indptr[i + 1]]
+        assert (np.diff(nbrs) > 0).all()
+        for j, length in g.incident_edges(i):
+            assert length == pytest.approx(np.linalg.norm(ps.coords[i] - ps.coords[j]), rel=1e-15)
 
 
 def test_incident_edges_two_points():
@@ -73,8 +98,8 @@ def test_incident_edges_match_oracle_random(rng):
 
 
 def test_max_edge_length():
-    assert max_edge_length(delaunay([(0, 0), (3, 0), (0, 4)])) == 5.0
-    assert max_edge_length(delaunay([(0.0,), (7.0,)])) == 7.0
+    assert delaunay([(0, 0), (3, 0), (0, 4)]).max_edge_length() == 5.0
+    assert delaunay([(0.0,), (7.0,)]).max_edge_length() == 7.0
 
 
 def test_max_edge_shrinks_with_sample_size():
@@ -92,9 +117,9 @@ def test_max_edge_shrinks_with_sample_size():
 
 
 def test_small_sets_complete_graph():
-    assert delaunay([(0, 0, 0), (1, 2, 2)]).edges() == [(0, 1)]
+    assert delaunay([(0, 0, 0), (1, 2, 2)]).edges.tolist() == [[0, 1]]
     g = delaunay([(0, 0, 0), (1, 0, 0), (0, 1, 0)])  # n = 3 < k+1 = 4
-    assert g.edges() == [(0, 1), (0, 2), (1, 2)]
+    assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
     assert g.simplices == ()
     g2 = delaunay([(0, 0), (1, 0), (0, 1)])  # n = k+1
     assert g2.simplices == ((0, 1, 2),)
@@ -116,7 +141,7 @@ def test_cocircular_refused_with_subset():
 def test_jitter_mode_resolves_cocircularity():
     g = delaunay([(0, 0), (1, 0), (0, 1), (1, 1)], jitter_seed=11)
     assert g.jitter_seed == 11
-    assert len(g.edges()) == 5
+    assert len(g.edges) == 5
     assert g.is_connected()
 
 
@@ -140,18 +165,19 @@ def test_collinear_subset_is_handled():
 @pytest.mark.parametrize("k,n,seed", [(1, 12, 0), (2, 25, 1), (3, 25, 2), (4, 20, 3)])
 def test_structural_invariants_random(k, n, seed):
     g = delaunay(random_pointset(seed, n, k))
+    adjacency = np.split(g.indices, g.indptr[1:-1])
     # symmetry and no self-loops
-    for i, nbrs in enumerate(g.adjacency):
+    for i, nbrs in enumerate(adjacency):
         assert i not in nbrs
         for j in nbrs:
-            assert i in g.adjacency[j]
+            assert i in adjacency[j]
     assert g.is_connected()
     # nearest neighbor is adjacent
     coords = random_pointset(seed, n, k).coords
     for i in range(n):
         d = np.linalg.norm(coords - coords[i], axis=1)
         d[i] = np.inf
-        assert int(np.argmin(d)) in g.adjacency[i]
+        assert int(np.argmin(d)) in adjacency[i]
     # every edge appears in a simplex
     from_simplices = {tuple(sorted(p)) for s in g.simplices
                       for p in __import__("itertools").combinations(s, 2)}
@@ -165,7 +191,8 @@ def test_insertion_order_does_not_change_output():
         g = delaunay(ps, insertion_seed=seed)
         assert g.edge_set() == base.edge_set()
         assert g.simplices == base.simplices
-        assert g.edge_lengths == base.edge_lengths
+        assert np.array_equal(g.edges, base.edges)
+        assert np.array_equal(g.lengths, base.lengths)
 
 
 def test_euler_counts_2d(rng):
@@ -174,7 +201,7 @@ def test_euler_counts_2d(rng):
         ps = PointSet(rng.uniform(-1, 1, (n, 2)))
         g = delaunay(ps)
         h = _hull_vertex_count(ps.coords)
-        assert len(g.edge_lengths) == 3 * n - 3 - h
+        assert len(g.lengths) == 3 * n - 3 - h
         assert len(g.simplices) == 2 * n - 2 - h
 
 
@@ -381,7 +408,8 @@ def test_builder_fallback_without_scipy(monkeypatch):
     monkeypatch.setattr(triangulation, "_qhull", lambda: None)
     g = delaunay(ps)
     assert g.stats.backend == "incremental"
-    assert g.simplices == want.simplices and g.edge_lengths == want.edge_lengths
+    assert g.simplices == want.simplices
+    assert np.array_equal(g.edges, want.edges) and np.array_equal(g.lengths, want.lengths)
 
 
 def test_builder_fallback_when_qhull_raises(monkeypatch):
