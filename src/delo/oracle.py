@@ -1,10 +1,13 @@
 """Slow, independent references for Delaunay adjacency.
 
-Two routes that must agree with the hull-based triangulation: exhaustive
-empty-circumsphere enumeration over all (k+1)-subsets, and a linear-program
-feasibility test for a single pair (is there a point equidistant from both
-that no other sample point beats?). Sizes are guarded; these exist for
-validation, not performance.
+Two routes that must agree with the hull-based triangulation and share only
+the exact predicates of delo.geometry with it. Exhaustive empty-circumsphere
+enumeration over all (k+1)-subsets lifts each subset to one hyperplane and
+tests every sample point with a dot product; a sign within the forward error
+bound is decided in exact arithmetic, so every sign is the true one. A
+linear-program feasibility test decides a single pair (is there a point
+equidistant from both that no other sample point beats?). Sizes are guarded;
+these exist for validation, not performance.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ from .geometry import (
     GeneralPositionError,
     GeometryError,
     PointSet,
-    _filtered_det_signs,
-    _orient_signs,
+    _exact_insphere_signs,
+    _exact_orient_signs,
+    _filter_bound,
     distance,
-    in_sphere,
-    orient,
 )
 
 BRUTEFORCE_MAX_N = 40
@@ -50,64 +52,58 @@ def bruteforce_simplices(points) -> list[tuple[int, ...]]:
         raise GeometryError(f"brute-force oracle is guarded to n <= {BRUTEFORCE_MAX_N}")
     coords = ps.coords
     subsets = np.array(list(combinations(range(n), k + 1)))
-    pts = coords[subsets]  # (m, k+1, k)
-
-    osigns, _ = _orient_signs(pts)
-    live = osigns != 0
-    if not live.any():
+    # lifted[a, q] = (x_q - x_a, |x_q - x_a|^2), rows scaled exactly to entries below 1
+    diffs = coords[None] - coords[:, None]
+    lifted = np.concatenate([diffs, np.einsum("aqi,aqi->aq", diffs, diffs)[..., None]], axis=2)
+    if not np.isfinite(lifted).all():  # the error bound below needs finite entries
+        raise OverflowError("squared distance overflows a float")
+    lifted *= np.ldexp(1.0, -np.frexp(np.abs(lifted).max(axis=2))[1])[..., None]
+    # A subset's rows lifted[p_0, p_i], i = 1..k, have k+1 cofactors h (h_j is
+    # (-1)^(k+j) times the minor without column j). h_k is the orientation
+    # determinant o, D(q) = h . lifted[p_0, q] is the in-sphere determinant
+    # with lifted[p_0, q] as last row, and q is strictly inside the
+    # circumsphere iff o D(q) < 0. Error of D: entries are below 1 and off by
+    # at most u = 2(k+3) EPS, as in the in-sphere filter, so each h_j is off
+    # by at most c = _filter_bound(k, 2(k+3)) and is below k!. The k+1
+    # products add (k+1)(c + k! u), their sum 1.01 (k+1)^2 EPS (k! + c)
+    # (Higham's gamma); as c >= 8 k (k+3) k! EPS, all is below 4 (k+1) c.
+    c = _filter_bound(k, 2.0 * (k + 3))
+    cols = [[i for i in range(k + 1) if i != j] for j in range(k + 1)]
+    cof_sign = (-1.0) ** (k + np.arange(k + 1))
+    accepted, spans = [], False
+    block = max(1, 2 ** 17 // n)
+    for start in range(0, len(subsets), block):
+        sub = subsets[start:start + block]
+        h = np.linalg.det(lifted[sub[:, :1], sub[:, 1:]][:, :, cols].swapaxes(1, 2)) * cof_sign
+        orients = np.sign(h[:, k]).astype(np.int64)
+        unsure = np.abs(h[:, k]) <= c
+        orients[unsure] = _exact_orient_signs(coords[sub[unsure]])
+        dets = np.einsum("bj,bqj->bq", h, lifted[sub[:, 0]])
+        inside = -np.sign(dets).astype(np.int64) * orients[:, None]
+        skip = np.zeros(dets.shape, dtype=bool)  # members, and every q of a flat subset
+        np.put_along_axis(skip, sub, True, axis=1)
+        skip[orients == 0] = True
+        r, q = np.nonzero((np.abs(dets) <= 4 * (k + 1) * c) & ~skip)
+        # the exact determinant has rows (p_i - q, |p_i - q|^2): sign (-1)^(k+1) D
+        exact = np.array(_exact_insphere_signs(coords[sub[r]], coords[q]), dtype=np.int64)
+        inside[r, q] = exact * orients[r] * (-1) ** k
+        inside[skip] = -1
+        zeros = np.argwhere(inside == 0)
+        if len(zeros):
+            subset = tuple(sorted(sub[zeros[0, 0]].tolist() + [int(zeros[0, 1])]))
+            raise GeneralPositionError("cospherical", subset,
+                                       f"points {subset} lie on a common sphere")
+        spans |= bool(orients.any())
+        accepted += sub[(orients != 0) & (inside < 0).all(axis=1)].tolist()
+    if not spans:
         raise GeneralPositionError("affine_span", tuple(range(n)),
                                    "points do not span the ambient space")
-
-    accepted: list[tuple[int, ...]] = []
-    member_mask = np.zeros((len(subsets), n), dtype=bool)
-    np.put_along_axis(member_mask, subsets, True, axis=1)
-
-    block = max(1, 200_000 // max(1, n))
-    idx_live = np.nonzero(live)[0]
-    for start in range(0, len(idx_live), block):
-        sel = idx_live[start:start + block]
-        spts = pts[sel]  # (b, k+1, k)
-        diffs = spts[:, None, :, :] - coords[None, :, None, :]  # (b, n, k+1, k)
-        norms = np.einsum("bqij,bqij->bqi", diffs, diffs)
-        mats = np.concatenate([diffs, norms[..., None]], axis=3)
-        b = mats.shape[0]
-        signs, bad = _filtered_det_signs(
-            mats.reshape(b * n, k + 1, k + 1), entry_ulps=2.0 * (k + 3))
-        signs = signs.reshape(b, n)
-        parity = -1 if k % 2 else 1
-        if bad.any():
-            for flat in np.nonzero(bad)[0]:
-                bi, qi = divmod(int(flat), n)
-                if member_mask[sel[bi], qi]:
-                    continue
-                # undo the normalization applied below; in_sphere is final
-                signs[bi, qi] = int(in_sphere(spts[bi], coords[qi])) * int(osigns[sel[bi]]) * parity
-        signs = signs * (osigns[sel][:, None] * parity)
-        for bi, si in enumerate(sel):
-            others = ~member_mask[si]
-            row = signs[bi][others]
-            if (row == 0).any():
-                q = int(np.nonzero(others)[0][np.nonzero(row == 0)[0][0]])
-                subset = tuple(sorted(subsets[si].tolist() + [q]))
-                raise GeneralPositionError(
-                    "cospherical", subset,
-                    f"points {subset} lie on a common sphere")
-            if not (row > 0).any():
-                accepted.append(tuple(int(v) for v in subsets[si]))
-    return accepted
+    return list(map(tuple, accepted))
 
 
 def delaunay_bruteforce(points) -> set[tuple[int, int]]:
     """Delaunay edge set by exhaustive empty-circumsphere enumeration."""
-    ps = _as_pointset(points)
-    if ps.n == ps.dim + 1:
-        # a single affinely independent simplex is its own triangulation
-        if orient(ps.coords) == 0:
-            raise GeneralPositionError("affine_span", tuple(range(ps.n)),
-                                       "points do not span the ambient space")
-        return set(combinations(range(ps.n), 2))
-    simplices = bruteforce_simplices(ps)
-    return {pair for verts in simplices for pair in combinations(verts, 2)}
+    return {pair for verts in bruteforce_simplices(points) for pair in combinations(verts, 2)}
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,10 @@ class DelaunayGraph:
     edges is an (E, 2) int64 array of vertex pairs i < j in lexicographic
     order, and lengths[e] is the Euclidean length of edges[e]. The neighbours
     of point i are indices[indptr[i]:indptr[i + 1]] (CSR), in ascending order.
-    Graphs compare by identity: their arrays have no single truth value.
+    cells is the (m, k+1) int array of Delaunay cells, vertices ascending (no
+    rows when n < k+1); simplices is the same as a tuple of tuples, built on
+    first read. Graphs compare by identity: their arrays have no single truth
+    value.
     """
 
     n: int
@@ -84,14 +87,18 @@ class DelaunayGraph:
     lengths: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    simplices: tuple[tuple[int, ...], ...]
+    cells: np.ndarray
     insertion_seed: int
     jitter_seed: int | None
     stats: BuildStats = BuildStats(0, 0, "incremental")
 
     def __post_init__(self):
-        for arr in (self.edges, self.lengths, self.indptr, self.indices):
+        for arr in (self.edges, self.lengths, self.indptr, self.indices, self.cells):
             arr.setflags(write=False)
+
+    @functools.cached_property
+    def simplices(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.cells.tolist()))
 
     def incident_edges(self, i: int) -> list[tuple[int, float]]:
         """E(x_i): (neighbor index, edge length) pairs, sorted by neighbor."""
@@ -663,7 +670,6 @@ def delaunay(points, *, jitter_seed: int | None = None,
                 "affine_span", tuple(range(ps.n)),
                 "small point set is affinely dependent; no unique dual graph")
         cells = np.arange(ps.n)[None]  # every pair is an edge
-        simplices = (tuple(range(ps.n)),) if ps.n == k + 1 else ()
         stats = BuildStats(0, 0, "incremental")
     else:
         certified = _qhull_delaunay(ps)
@@ -673,7 +679,6 @@ def delaunay(points, *, jitter_seed: int | None = None,
             builder = _HullBuilder(ps, insertion_seed)
             cells = np.array(sorted(builder.build()), dtype=np.int64)
             stats = BuildStats(builder.created, builder.fallbacks, "incremental")
-        simplices = tuple(map(tuple, cells.tolist()))
 
     # the edges are the vertex pairs of the cells (rows ascend, so i < j),
     # deduplicated and ordered by the key i*n + j; every point has one, as
@@ -693,7 +698,7 @@ def delaunay(points, *, jitter_seed: int | None = None,
         lengths=np.linalg.norm(ps.coords[i] - ps.coords[j], axis=1),
         indptr=np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))]),
         indices=dst[np.argsort(src, kind="stable")],
-        simplices=simplices,
+        cells=cells if ps.n > k else np.empty((0, k + 1), dtype=np.int64),
         insertion_seed=insertion_seed,
         jitter_seed=jitter_seed,
         stats=stats,

@@ -1,9 +1,21 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delo import DegenerateSimplexError, GeometryError, delaunay, distance
+import delo.oracle
+from delo import (
+    DegenerateSimplexError,
+    GeneralPositionError,
+    GeometryError,
+    Sign,
+    delaunay,
+    distance,
+    in_sphere_many,
+    orient,
+)
 from delo.oracle import (
     adjacent_witness,
     bisector_pythagoras_check,
@@ -42,11 +54,103 @@ def test_bruteforce_guards():
         delaunay_bruteforce([(0, 0), (1, 0)])  # n < k+1
 
 
-def test_bruteforce_detects_cosphericality():
-    from delo import GeneralPositionError
+def test_bruteforce_refuses_overflowing_squared_distances():
+    pts = np.random.default_rng(0).uniform(-1, 1, (8, 2)) * 1e160
+    with pytest.raises(OverflowError):
+        delaunay_bruteforce(pts)  # returned the complete graph before
 
-    with pytest.raises(GeneralPositionError):
+
+def test_bruteforce_detects_cosphericality():
+    with pytest.raises(GeneralPositionError) as exc:
         delaunay_bruteforce([(0, 0), (1, 0), (0, 1), (1, 1), (5, 5)])
+    assert exc.value.kind == "cospherical"
+    assert exc.value.subset == (0, 1, 2, 3)
+
+
+CUBE = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+
+
+@pytest.mark.parametrize("pts,kind,subset", [
+    # (0, 1, 2, 3) is the flat face x = 0; the first live subset meets corner 3
+    (CUBE + [(0.5, 0.5, 0.4)], "cospherical", (0, 1, 2, 3, 4)),
+    ([(1, 0), (-1, 0), (0, 1), (0, -1), (0, 0)], "cospherical", (0, 1, 2, 3)),
+    ([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)], "affine_span", (0, 1, 2, 3, 4)),
+    ([(0, 0), (1, 1), (2, 2)], "affine_span", (0, 1, 2)),  # n = k+1
+], ids=["cube-corners", "circle-with-centre", "collinear", "collinear-n=k+1"])
+def test_bruteforce_refusals_name_kind_and_subset(pts, kind, subset):
+    with pytest.raises(GeneralPositionError) as exc:
+        delaunay_bruteforce(pts)
+    assert (exc.value.kind, exc.value.subset) == (kind, subset)
+    with pytest.raises(GeneralPositionError) as ref:
+        _reference_simplices(np.asarray(pts, dtype=float))
+    assert (ref.value.kind, ref.value.subset) == (kind, subset)
+
+
+def _reference_simplices(pts):
+    """The definition, one subset at a time: every (k+1)-subset with nonzero
+    orientation and no other point inside or on its circumsphere. The first
+    subset, in lexicographic order, with a point on its circumsphere is
+    refused; a set with no full-dimensional subset does not span."""
+    n, k = pts.shape
+    subsets = [s for s in combinations(range(n), k + 1)
+               if orient(pts[list(s)]) is not Sign.ZERO]
+    if not subsets:
+        raise GeneralPositionError("affine_span", tuple(range(n)), "flat")
+    accepted = []
+    for s in subsets:
+        others = [q for q in range(n) if q not in s]
+        signs = in_sphere_many(pts[list(s)], pts[others]) if others else np.zeros(0)
+        if (signs == 0).any():
+            q = others[int(np.argmax(signs == 0))]
+            raise GeneralPositionError("cospherical", tuple(sorted(s + (q,))), "on sphere")
+        if not (signs > 0).any():
+            accepted.append(s)
+    return accepted
+
+
+def _outcome(oracle, pts):
+    try:
+        return oracle(pts)
+    except GeneralPositionError as err:
+        return err.kind, err.subset
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bruteforce_equals_per_subset_reference(k, seed):
+    rng = np.random.default_rng(100 * k + seed)
+    n = int(rng.integers(k + 1, 21 - 2 * k if k <= 4 else 13))
+    pts = rng.uniform(-1, 1, (n, k))
+    assert bruteforce_simplices(pts) == _reference_simplices(pts)
+
+
+def test_bruteforce_near_cocircular_grid_takes_exact_path(monkeypatch):
+    counted = []
+    exact = delo.oracle._exact_insphere_signs
+
+    def counting(simplices, queries):
+        counted.append(len(queries))
+        return exact(simplices, queries)
+
+    monkeypatch.setattr(delo.oracle, "_exact_insphere_signs", counting)
+    rng = np.random.default_rng(3)
+    grid = np.array(list(product(range(4), repeat=2)), dtype=float)
+    pts = grid + rng.uniform(-1e-12, 1e-12, grid.shape)
+    assert bruteforce_simplices(pts) == _reference_simplices(pts)
+    assert sum(counted) > 0  # signs inside the error bound were decided exactly
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([0.0, 1e-12, 1e-9]),
+       st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_bruteforce_matches_reference_on_near_cospherical_sets(k, jitter, extra, seed):
+    # a small grid (all 16 or 8 points cospherical by fours or more), jittered
+    # or not, plus a few random points
+    rng = np.random.default_rng(seed)
+    grid = np.array(list(product(range(4 if k == 2 else 2), repeat=k)), dtype=float)
+    pts = np.vstack([grid + rng.uniform(-jitter, jitter, grid.shape),
+                     rng.uniform(0, 3 if k == 2 else 1, (extra, k))])
+    assert _outcome(bruteforce_simplices, pts) == _outcome(_reference_simplices, pts)
 
 
 def test_bruteforce_simplices_partition_hull_area(rng):

@@ -54,7 +54,7 @@ def test_incident_edges_triangle():
 
 def test_graph_arrays_are_read_only_and_edge_set_has_python_ints():
     g = delaunay(random_pointset(5, 30, 2))
-    for arr in (g.edges, g.lengths, g.indptr, g.indices):
+    for arr in (g.edges, g.lengths, g.indptr, g.indices, g.cells):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -120,9 +120,19 @@ def test_small_sets_complete_graph():
     assert delaunay([(0, 0, 0), (1, 2, 2)]).edges.tolist() == [[0, 1]]
     g = delaunay([(0, 0, 0), (1, 0, 0), (0, 1, 0)])  # n = 3 < k+1 = 4
     assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
-    assert g.simplices == ()
+    assert g.simplices == () and g.cells.shape == (0, 4)
     g2 = delaunay([(0, 0), (1, 0), (0, 1)])  # n = k+1
     assert g2.simplices == ((0, 1, 2),)
+
+
+def test_simplices_built_on_first_read_from_cells():
+    g = delaunay(random_pointset(7, 40, 3))
+    assert "simplices" not in vars(g)  # scoring never pays for the tuples
+    simplices = g.simplices
+    assert simplices is g.simplices
+    assert simplices == tuple(tuple(row) for row in g.cells.tolist())
+    assert all(type(v) is int for s in simplices for v in s)
+    assert all(list(s) == sorted(s) for s in simplices)
 
 
 def test_small_affinely_dependent_set_refused():
