@@ -380,7 +380,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CLIInputError as err:
         return _error("input", str(err))
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, OverflowError, json.JSONDecodeError) as err:
         return _error("input", str(err))
     except GeometryError as err:
         detail = {}

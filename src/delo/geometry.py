@@ -112,26 +112,20 @@ def _filter_bound(d: int, entry_ulps) -> np.ndarray | float:
     return EPS * (eval_term + entry_term * entry_ulps)
 
 
-def _filtered_det_signs(mats: np.ndarray, entry_ulps=1.0, entry_abs=0.0):
+def _filtered_det_signs(mats: np.ndarray, entry_ulps=1.0):
     """Signs of determinants of a (m, d, d) batch.
 
     entry_ulps bounds relative entry construction error (units of EPS per
-    row maximum); entry_abs adds an absolute per-entry error, e.g. from
-    precomputed lifted coordinates. Returns (signs, inconclusive): signs are
-    certified except where inconclusive is True, which callers must resolve
-    exactly.
+    row maximum). Returns (signs, inconclusive): signs are certified except
+    where inconclusive is True, which callers must resolve exactly.
     """
     m, d, _ = mats.shape
     rmax = np.abs(mats).max(axis=2)
     _, e = np.frexp(rmax)
     scaled = mats * np.ldexp(1.0, -e)[:, :, None]  # exact power-of-two scaling
     dets = np.linalg.det(scaled)
-    ulps = entry_ulps
-    if entry_abs:
-        ulps = entry_ulps + entry_abs * np.ldexp(1.0, -e.min(axis=1)) / EPS
-    bound = _filter_bound(d, ulps)
     signs = np.sign(dets).astype(np.int64)
-    return signs, np.abs(dets) <= bound
+    return signs, np.abs(dets) <= _filter_bound(d, entry_ulps)
 
 
 def _bareiss_sign(m: list[list[int]]) -> int:
@@ -300,14 +294,6 @@ def lift(point) -> np.ndarray:
     return np.concatenate([p, [sq]])
 
 
-def lifted_floats(ps: PointSet) -> np.ndarray:
-    """Lift every point of a PointSet; rows are (x, |x|^2)."""
-    sq = np.einsum("ij,ij->i", ps.coords, ps.coords)
-    if not np.all(np.isfinite(sq)):
-        raise OverflowError("squared norm overflows a float")
-    return np.concatenate([ps.coords, sq[:, None]], axis=1)
-
-
 def distance(x, y) -> float:
     """Euclidean distance, the length of the segment between x and y."""
     a = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -330,25 +316,21 @@ class GeneralPositionReport:
     mode: str
 
 
-def full_row_rank(rows: Sequence[Sequence], d: int) -> bool:
-    """Whether j rows of d exact entries are linearly independent.
-
-    Rank j iff j <= d and some j x j column minor is nonsingular.
-    """
-    j = len(rows)
-    return j == 0 or j <= d and any(
-        exact_det_sign([[row[c] for c in cols] for row in rows]) != 0
-        for cols in combinations(range(d), j))
-
-
 def is_affinely_independent(pts) -> bool:
-    """Exact affine-independence test for up to k+1 points in R^k."""
+    """Exact affine-independence test for up to k+1 points in R^k.
+
+    The j difference rows have rank j iff j <= k and some j x j column minor
+    is nonsingular.
+    """
     arr = _as_points(pts)
     if len(arr) <= 1:
         return True
+    j, k = len(arr) - 1, arr.shape[1]
     base = [Fraction(c) for c in arr[0]]
-    return full_row_rank([[Fraction(c) - b for c, b in zip(row, base)] for row in arr[1:]],
-                         arr.shape[1])
+    rows = [[Fraction(c) - b for c, b in zip(row, base)] for row in arr[1:]]
+    return j <= k and any(
+        exact_det_sign([[row[c] for c in cols] for row in rows]) != 0
+        for cols in combinations(range(k), j))
 
 
 def affinely_independent_subset(coords) -> list[int]:

@@ -11,41 +11,36 @@ of the points. Where Qhull's cells pass every check but a few ridges are
 not locally Delaunay (Qhull splits facets it merged for precision in any
 order), bistellar flips repair those ridges and the certificate runs again.
 
-Otherwise -- k = 1, scipy missing, Qhull failing, or any check failing or
-meeting a zero sign -- the points are lifted to the paraboloid in R^(k+1),
-the incremental beneath-beyond algorithm with conflict lists builds their
-convex hull, and the downward-facing facets project back to the Delaunay
-cells. Every visibility decision is an exact orientation sign (float filter
-with exact integer fallback), so the output is the true triangulation
-whenever the input is in general position; degeneracies encountered along
-the way are reported as errors naming the offending subset.
+Otherwise -- k = 1, Qhull failing, or any check failing or meeting a zero
+sign -- the points are lifted to the paraboloid in R^(k+1), the incremental
+beneath-beyond algorithm with conflict lists builds their convex hull, and
+the downward-facing facets project back to the Delaunay cells. Every
+visibility decision is the exact sign of an in-sphere determinant, from the
+kernel the certificate uses (float filter with exact integer fallback), so
+the output is the true triangulation whenever the input is in general
+position; degeneracies encountered along the way are reported as errors
+naming the offending subset.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
 from .geometry import (
-    EPS,
     GeneralPositionError,
     GeometryError,
     PointSet,
     Sign,
-    _filtered_det_signs,
     _insphere_det_signs,
     _orient_signs,
     affinely_independent_subset,
-    exact_det_sign,
-    full_row_rank,
     in_sphere,
     is_affinely_independent,
     jitter_points,
-    lifted_floats,
     orient,
 )
 
@@ -59,8 +54,8 @@ class BuildStats:
     certified cells and exact_fallbacks the signs the certificate resolved
     exactly, summed over both runs where flips were needed. It is
     "incremental" for the exact builder, where they count the hull facets
-    created and the exact visibility signs, and for sets of at most k+1
-    points, which need no hull.
+    created and the in-sphere signs it resolved exactly, and for sets of at
+    most k+1 points, which need no hull.
     """
 
     facets_created: int
@@ -128,87 +123,38 @@ class DelaunayGraph:
 
 
 class _Facet:
-    __slots__ = ("verts", "ref", "neighbors", "conflicts", "uid")
+    __slots__ = ("verts", "ref", "neighbors", "conflicts")
 
-    def __init__(self, verts: tuple[int, ...], uid: int):
+    def __init__(self, verts: tuple[int, ...], ref: int):
         self.verts = verts
-        self.ref = 0
+        self.ref = ref  # the side of the facet that the hull lies on
         self.neighbors: dict[tuple[int, ...], _Facet] = {}
         self.conflicts: set[int] = set()
-        self.uid = uid
 
 
 class _HullBuilder:
-    """Incremental convex hull of the lifted points in R^(k+1)."""
+    """Incremental convex hull of the points lifted to the paraboloid in R^(k+1).
+
+    The side of a facet's lifted hyperplane that a lifted point q lies on is
+    the in-sphere determinant sign of the facet's k+1 points (in verts
+    order) and q: the lifted orientation det([L_v - L_v0; ...; L_q - L_v0])
+    times (-1)^(k+1). q sees the facet iff its side is -ref.
+    """
 
     def __init__(self, ps: PointSet, insertion_seed: int):
-        self.ps = ps
         self.coords = ps.coords
-        self.lifted = lifted_floats(ps)
-        self.d = ps.dim + 1
+        self.k = ps.dim
         self.n = ps.n
         self.facets: set[_Facet] = set()
         self.point_conflicts: dict[int, set[_Facet]] = {}
-        self._lift_fr: dict[int, tuple[Fraction, ...]] = {}
-        self._uid = 0
         self.fallbacks = 0
         self.created = 0
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(insertion_seed)))
         self.order = [int(i) for i in rng.permutation(self.n)]
-        mbig = float(np.abs(self.lifted).max())
-        self.entry_abs = 32.0 * EPS * max(mbig, 1e-300)
-        self.o: np.ndarray | None = None
-        self._o_fr: tuple[Fraction, ...] | None = None
 
-    # -- exact helpers ------------------------------------------------------
-
-    def _lift_exact(self, i: int) -> tuple[Fraction, ...]:
-        row = self._lift_fr.get(i)
-        if row is None:
-            cs = [Fraction(x) for x in self.coords[i]]
-            row = tuple(cs + [sum(c * c for c in cs)])
-            self._lift_fr[i] = row
-        return row
-
-    def _exact_sign(self, verts: tuple[int, ...], query) -> int:
-        """Exact sign of det([v - v0 rows; query - v0]) in lifted space."""
-        base = self._lift_exact(verts[0])
-        rows = [[a - b for a, b in zip(self._lift_exact(v), base)] for v in verts[1:]]
-        if isinstance(query, int):
-            top = self._lift_exact(query)
-        else:
-            top = query  # already exact Fractions (the interior point)
-        rows.append([a - b for a, b in zip(top, base)])
-        self.fallbacks += 1
-        return exact_det_sign(rows)
-
-    def _lifted_independent(self, idxs: list[int]) -> bool:
-        base = self._lift_exact(idxs[0])
-        return full_row_rank(
-            [[a - b for a, b in zip(self._lift_exact(v), base)] for v in idxs[1:]], self.d)
-
-    # -- batched visibility -------------------------------------------------
-
-    def _batch_signs(self, facet_rows: np.ndarray, repeats: list[int],
-                     bases: np.ndarray, tops: np.ndarray,
-                     facet_list: list[_Facet], queries: list) -> np.ndarray:
-        """Certified det signs for stacked (facet, query) pairs.
-
-        facet_rows: (F, d-1, d) difference rows per facet; repeats: pair count
-        per facet; bases: (F, d) lifted base vertex; tops: (M, d) lifted query
-        rows. queries holds the query label per pair (point index or 'o').
-        """
-        m = tops.shape[0]
-        mats = np.empty((m, self.d, self.d))
-        mats[:, : self.d - 1, :] = np.repeat(facet_rows, repeats, axis=0)
-        mats[:, self.d - 1, :] = tops - np.repeat(bases, repeats, axis=0)
-        signs, bad = _filtered_det_signs(mats, entry_abs=self.entry_abs)
-        if bad.any():
-            owner = np.repeat(np.arange(len(facet_list)), repeats)
-            for idx in np.nonzero(bad)[0]:
-                f = facet_list[int(owner[idx])]
-                q = queries[idx]
-                signs[idx] = self._exact_sign(f.verts, self._o_fr if q == "o" else q)
+    def _sides(self, pts: np.ndarray, queries: list[int]) -> np.ndarray:
+        signs, exact = _insphere_det_signs(pts, self.coords[queries])
+        self.fallbacks += exact
         return signs
 
     def _zero_conflict(self, facet: _Facet, q: int):
@@ -220,82 +166,63 @@ class _HullBuilder:
                 "cospherical", subset,
                 f"points {subset} lie on a common sphere; jitter to proceed")
 
-    # -- construction -------------------------------------------------------
+    def _assign(self, facets: list[_Facet], candidates: list[list[int]]):
+        """Add each facet's candidate points that see it to its conflicts."""
+        counts = [len(block) for block in candidates]
+        if not sum(counts):
+            return
+        flat = [q for block in candidates for q in block]
+        verts = np.array([f.verts for f in facets])
+        signs = self._sides(np.repeat(self.coords[verts], counts, axis=0), flat)
+        owner = np.repeat(np.arange(len(facets)), counts)
+        for i, q, s in zip(owner.tolist(), flat, signs.tolist()):
+            f = facets[i]
+            if s == 0:
+                self._zero_conflict(f, q)
+            elif s == -f.ref:
+                f.conflicts.add(q)
+                self.point_conflicts[q].add(f)
 
-    def _facet_rows(self, verts: tuple[int, ...]) -> np.ndarray:
-        pts = self.lifted[list(verts)]
-        return pts[1:] - pts[0]
-
-    def _new_facet(self, verts: tuple[int, ...]) -> _Facet:
-        self._uid += 1
+    def _new_facet(self, verts: tuple[int, ...], ref: int) -> _Facet:
         self.created += 1
-        return _Facet(verts, self._uid)
+        return _Facet(verts, ref)
 
     def _init_simplex(self) -> list[int]:
-        chosen: list[int] = []
-        for i in self.order:
-            if self._lifted_independent(chosen + [i]):
-                chosen.append(i)
-                if len(chosen) == self.d + 1:
-                    return chosen
-        # every remaining point is affinely dependent on the chosen lifted
-        # ones: the whole set is cospherical or fails to span
-        if len(affinely_independent_subset(self.coords)) < self.ps.dim + 1:
+        """k+1 affinely independent points in insertion order, then the first
+        point off their circumsphere."""
+        base = [self.order[i] for i in affinely_independent_subset(self.coords[self.order])]
+        if len(base) < self.k + 1:
             raise GeneralPositionError(
                 "affine_span", tuple(range(self.n)),
                 "points do not span the ambient space")
-        spare = next(i for i in self.order if i not in chosen)
-        subset = tuple(sorted(chosen + [spare]))
-        raise GeneralPositionError(
-            "cospherical", subset,
-            f"points {subset} are cospherical; jitter to proceed")
+        chosen = set(base)
+        rest = [i for i in self.order if i not in chosen]
+        off = np.flatnonzero(self._sides(self.coords[base], rest))
+        if not len(off):
+            subset = tuple(sorted(base + rest[:1]))
+            raise GeneralPositionError(
+                "cospherical", subset,
+                f"points {subset} are cospherical; jitter to proceed")
+        return base + [rest[off[0]]]
 
     def build(self) -> list[tuple[int, ...]]:
         simplex = self._init_simplex()
-        self.o = self.lifted[simplex].mean(axis=0)
-        self._o_fr = tuple(
-            sum(self._lift_exact(v)[c] for v in simplex) / (self.d + 1)
-            for c in range(self.d))
 
-        # initial facets: all d-subsets of the initial simplex
-        init_facets = []
-        for omit in simplex:
-            verts = tuple(sorted(v for v in simplex if v != omit))
-            init_facets.append(self._new_facet(verts))
+        # initial facets: all (k+1)-subsets of the initial simplex; the hull
+        # lies on the side of the vertex each one omits
+        init = [tuple(sorted(v for v in simplex if v != w)) for w in simplex]
+        refs = self._sides(self.coords[np.array(init)], simplex)
+        init_facets = [self._new_facet(verts, r) for verts, r in zip(init, refs.tolist())]
         for fa, fb in combinations(init_facets, 2):
             ridge = tuple(sorted(set(fa.verts) & set(fb.verts)))
             fa.neighbors[ridge] = fb
             fb.neighbors[ridge] = fa
         self.facets.update(init_facets)
 
-        rows = np.stack([self._facet_rows(f.verts) for f in init_facets])
-        bases = np.stack([self.lifted[f.verts[0]] for f in init_facets])
-        refs = self._batch_signs(rows, [1] * len(init_facets), bases,
-                                 np.stack([self.o] * len(init_facets)),
-                                 init_facets, ["o"] * len(init_facets))
-        for f, r in zip(init_facets, refs):
-            if r == 0:
-                raise RuntimeError("interior reference point landed on a facet plane")
-            f.ref = int(r)
-
         in_simplex = set(simplex)
         pending = [i for i in self.order if i not in in_simplex]
-        if pending:
-            counts = [len(pending)] * len(init_facets)
-            tops = np.tile(self.lifted[pending], (len(init_facets), 1))
-            labels = pending * len(init_facets)
-            signs = self._batch_signs(rows, counts, bases, tops, init_facets, labels)
-            off = 0
-            for f in init_facets:
-                block = signs[off:off + len(pending)]
-                off += len(pending)
-                for q, s in zip(pending, block):
-                    if s == 0:
-                        self._zero_conflict(f, q)
-                    elif s == -f.ref:
-                        f.conflicts.add(q)
-        for q in pending:
-            self.point_conflicts[q] = {f for f in init_facets if q in f.conflicts}
+        self.point_conflicts = {q: set() for q in pending}
+        self._assign(init_facets, [pending] * len(init_facets))
 
         for p in pending:
             self._insert(p)
@@ -317,10 +244,16 @@ class _HullBuilder:
 
         new_facets: list[_Facet] = []
         candidates: list[list[int]] = []
-        half_ridges: dict[tuple[int, ...], tuple[_Facet, tuple[int, ...]]] = {}
+        half_ridges: dict[tuple[int, ...], _Facet] = {}
         for ridge, f_vis, g_inv in horizon:
             verts = tuple(sorted(ridge + (p,)))
-            nf = self._new_facet(verts)
+            # nf's verts plus the apex of f_vis are f_vis's verts plus p,
+            # reordered, and the apex lies on the hull's side of nf while p
+            # lies on the far side of f_vis: the two in-sphere determinants
+            # differ by the parity of the reordering (verts are sorted)
+            (apex,) = set(f_vis.verts) - set(ridge)
+            swaps = sum(v > apex for v in verts) + sum(v > p for v in f_vis.verts)
+            nf = self._new_facet(verts, -f_vis.ref * (-1) ** swaps)
             nf.neighbors[ridge] = g_inv
             g_inv.neighbors[ridge] = nf
             cands = (f_vis.conflicts | g_inv.conflicts)
@@ -331,42 +264,17 @@ class _HullBuilder:
                 key = tuple(sorted(set(verts) - {omit}))
                 other = half_ridges.pop(key, None)
                 if other is None:
-                    half_ridges[key] = (nf, key)
+                    half_ridges[key] = nf
                 else:
-                    of, _ = other
-                    nf.neighbors[key] = of
-                    of.neighbors[key] = nf
+                    nf.neighbors[key] = other
+                    other.neighbors[key] = nf
         if half_ridges:
-            stray = sorted({v for key, _ in half_ridges.items() for v in key})
+            stray = tuple(sorted({v for key in half_ridges for v in key}))
             raise GeneralPositionError(
-                "degenerate_flat", tuple(stray),
-                "hull boundary is not simplicial around points "
-                f"{tuple(stray)}; jitter to proceed")
+                "degenerate_flat", stray,
+                f"hull boundary is not simplicial around points {stray}; jitter to proceed")
 
-        rows = np.stack([self._facet_rows(f.verts) for f in new_facets])
-        bases = np.stack([self.lifted[f.verts[0]] for f in new_facets])
-        refs = self._batch_signs(rows, [1] * len(new_facets), bases,
-                                 np.stack([self.o] * len(new_facets)),
-                                 new_facets, ["o"] * len(new_facets))
-        for f, r in zip(new_facets, refs):
-            if r == 0:
-                raise RuntimeError("interior reference point landed on a facet plane")
-            f.ref = int(r)
-
-        counts = [len(c) for c in candidates]
-        if sum(counts):
-            flat = [q for block in candidates for q in block]
-            tops = self.lifted[flat]
-            signs = self._batch_signs(rows, counts, bases, tops, new_facets, flat)
-            off = 0
-            for f, block in zip(new_facets, candidates):
-                for q, s in zip(block, signs[off:off + len(block)]):
-                    if s == 0:
-                        self._zero_conflict(f, q)
-                    elif s == -f.ref:
-                        f.conflicts.add(q)
-                        self.point_conflicts[q].add(f)
-                off += len(block)
+        self._assign(new_facets, candidates)
 
         for f in visible:
             for q in f.conflicts:
@@ -376,10 +284,13 @@ class _HullBuilder:
         self.facets.update(new_facets)
 
     def _lower_simplices(self) -> list[tuple[int, ...]]:
-        """Facets whose outward normal points downward project to Delaunay cells."""
-        facets = sorted(self.facets, key=lambda f: f.verts)
+        """Facets whose outward normal points downward project to Delaunay
+        cells. The hull lies above them, and a point far above a facet lies
+        on the side (-1)^(k+1) times its projected orientation."""
+        facets = list(self.facets)
         signs, _ = _orient_signs(self.coords[np.array([f.verts for f in facets])])
-        lower = [f.verts for f, s in zip(facets, signs) if int(s) == f.ref]
+        up = (-1) ** (self.k + 1)
+        lower = [f.verts for f, s in zip(facets, signs.tolist()) if s == up * f.ref]
         covered = {v for verts in lower for v in verts}
         if len(covered) != self.n:
             missing = sorted(set(range(self.n)) - covered)
@@ -389,14 +300,11 @@ class _HullBuilder:
 
 @functools.cache
 def _qhull():
-    """scipy's Qhull Delaunay class and its error type, or None without scipy.
+    """scipy's Qhull Delaunay class and its error type.
 
     Imported on first use: scipy adds about half a second to start-up.
     """
-    try:
-        from scipy.spatial import Delaunay, QhullError
-    except ImportError:
-        return None
+    from scipy.spatial import Delaunay, QhullError
     return Delaunay, QhullError
 
 
@@ -453,9 +361,6 @@ def _check(coords: np.ndarray, cells) -> tuple[np.ndarray, int, list] | None:
     makes it the unique Delaunay triangulation.
     """
     n, k = coords.shape
-    with np.errstate(over="ignore"):
-        if not np.isfinite(4.0 * k * np.abs(coords).max() ** 2):
-            return None  # |p - q|^2 in the in-sphere matrices would overflow
     cells = np.sort(np.asarray(cells, dtype=np.int64), axis=1)
     cells = cells[np.lexsort(cells.T[::-1])]
     if cells.shape[1] != k + 1 or not np.array_equal(np.unique(cells), np.arange(n)):
@@ -616,10 +521,9 @@ def _flip_to_delaunay(coords: np.ndarray, cells: np.ndarray,
 
 def _qhull_delaunay(ps: PointSet) -> tuple[np.ndarray, BuildStats] | None:
     """Qhull's cells once certified; None where the exact builder must decide."""
-    qhull = _qhull()
-    if qhull is None or ps.dim < 2:
+    if ps.dim < 2:
         return None
-    qhull_delaunay, qhull_error = qhull
+    qhull_delaunay, qhull_error = _qhull()
     try:
         # translation leaves the triangulation unchanged but not Qhull's
         # rounding: on jittered grids far from the origin, raw coordinates
@@ -652,7 +556,8 @@ def delaunay(points, *, jitter_seed: int | None = None,
     certified; there it can decide whether a near-degenerate set is refused,
     but never changes the cells returned. Degenerate inputs raise
     GeneralPositionError; opt-in jitter (seeded, 1e-9 x bbox diameter)
-    resolves them at the cost of exactness of the coordinates.
+    resolves them at the cost of exactness of the coordinates. Coordinates
+    whose squared distances overflow a float raise OverflowError.
     """
     if jitter_seed is not None:
         ps = jitter_points(points, jitter_seed)
@@ -662,8 +567,12 @@ def delaunay(points, *, jitter_seed: int | None = None,
         ps = PointSet(np.asarray(points, dtype=np.float64))
     if ps.n < 2:
         raise GeometryError("triangulation needs at least 2 points")
-
     k = ps.dim
+    with np.errstate(over="ignore"):
+        if not np.isfinite(4.0 * k * np.abs(ps.coords).max() ** 2):
+            # |p - q|^2, an entry of every in-sphere matrix, would overflow
+            raise OverflowError("squared distances between the points overflow a float")
+
     if ps.n <= k + 1:
         if not is_affinely_independent(ps.coords):
             raise GeneralPositionError(

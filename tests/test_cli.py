@@ -131,6 +131,17 @@ def test_score_missing_file_exits_1(capsys):
     assert json.loads(err)["kind"] == "input"
 
 
+def test_score_overflowing_coordinates_exit_1(tmp_path, capsys):
+    p = tmp_path / "huge.csv"
+    pts = np.random.default_rng(0).uniform(-1, 1, (8, 2)) * 1e160
+    p.write_text("".join(f"{x!r},{y!r}\n" for x, y in pts.tolist()))
+    code, out, err = run(capsys, "score", str(p))
+    assert code == 1 and out == ""
+    obj = json.loads(err)
+    assert obj["kind"] == "input"
+    assert "overflow" in obj["message"]
+
+
 def test_change_point_series_scores_separate(tmp_path, capsys):
     rng = np.random.default_rng(321)
     walk1 = np.cumsum(rng.normal(0, 0.01, size=(300, 2)), axis=0)

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import subprocess
@@ -18,9 +17,9 @@ from delo import (
     jitter_points,
     triangulation,
 )
-from delo.oracle import delaunay_bruteforce
+from delo.oracle import bruteforce_simplices, delaunay_bruteforce
 from delo.simulation import SimulationConfig, sample_shell
-from delo.geometry import orient
+from delo.geometry import Sign, in_sphere, orient
 from delo.triangulation import _HullBuilder, _certify, _check, _flip_to_delaunay
 
 from conftest import random_pointset
@@ -251,19 +250,20 @@ def test_interior_point_fan():
 
 # --- Qhull proposal, exact certificate, builder fallback -------------------------
 
-needs_scipy = pytest.mark.skipif(importlib.util.find_spec("scipy") is None,
-                                 reason="Qhull comes from scipy")
-
-
 def _builder_simplices(ps):
     return tuple(sorted(_HullBuilder(ps, 0).build()))
 
 
-def _jittered_grid(shape, seed):
-    rng = np.random.default_rng(seed)
+def _tick_grid(rng, shape):
+    # prices on a 0.25 tick from an origin drawn in [10, 11), one row per point
     origin = np.round(rng.uniform(10.0, 11.0, len(shape)), 2)
     axes = [np.round(origin[d] + 0.25 * np.arange(m), 2) for d, m in enumerate(shape)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(shape))
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(shape))
+
+
+def _jittered_grid(shape, seed):
+    rng = np.random.default_rng(seed)
+    grid = _tick_grid(rng, shape)
     return jitter_points(grid[rng.permutation(len(grid))], seed)
 
 
@@ -366,15 +366,12 @@ def _benchmark_grids(seed):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 3])))
     grids = []
     for shape in ((50, 50), (8, 8, 8)):
-        origin = np.round(rng.uniform(10.0, 11.0, len(shape)), 2)
-        axes = [np.round(origin[d] + 0.25 * np.arange(m), 2) for d, m in enumerate(shape)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(shape))
+        grid = _tick_grid(rng, shape)
         coords = grid[rng.permutation(len(grid))]
         grids.append(jitter_points(coords, int(rng.integers(2 ** 31))))
     return grids
 
 
-@needs_scipy
 @pytest.mark.parametrize("seed, which", [(4, 0), (6, 1)])
 def test_qhull_path_on_grids_qhull_splits_badly(seed, which):
     # with scipy 1.17, Qhull's cells for these grids have 1-3 ridges that are
@@ -385,7 +382,6 @@ def test_qhull_path_on_grids_qhull_splits_badly(seed, which):
     assert g.simplices == _builder_simplices(ps)
 
 
-@needs_scipy
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_qhull_path_matches_builder_random(k):
     for seed in range(3):
@@ -397,7 +393,6 @@ def test_qhull_path_matches_builder_random(k):
         assert g.simplices == _builder_simplices(ps)
 
 
-@needs_scipy
 @pytest.mark.parametrize("shape", [(50, 50), (8, 8, 8)])
 def test_qhull_path_matches_builder_jittered_grid(shape):
     ps = _jittered_grid(shape, 3)
@@ -406,20 +401,74 @@ def test_qhull_path_matches_builder_jittered_grid(shape):
     assert g.simplices == _builder_simplices(ps)
 
 
-@needs_scipy
 def test_qhull_path_on_shell_replicate():
     cfg = SimulationConfig(dim=4, n_inliers=299, replicates=1, seed=7)
     assert delaunay(sample_shell(cfg, 0)).stats.backend == "qhull"
 
 
-def test_builder_fallback_without_scipy(monkeypatch):
+def test_builder_fallback_when_qhull_declines(monkeypatch):
     ps = random_pointset(3, 30, 3)
     want = delaunay(ps)
-    monkeypatch.setattr(triangulation, "_qhull", lambda: None)
+    monkeypatch.setattr(triangulation, "_qhull_delaunay", lambda ps: None)
     g = delaunay(ps)
     assert g.stats.backend == "incremental"
     assert g.simplices == want.simplices
     assert np.array_equal(g.edges, want.edges) and np.array_equal(g.lengths, want.lengths)
+
+
+def test_builder_far_from_origin_needs_no_exact_signs(monkeypatch):
+    # the in-sphere kernel translates to the query, so an offset of 1e4 leaves
+    # the float filter nothing to defer to exact arithmetic
+    ps = PointSet(random_pointset(11, 300, 2).coords + 1e4)
+    want = delaunay(ps)
+    assert want.stats.backend == "qhull"
+    monkeypatch.setattr(triangulation, "_qhull_delaunay", lambda ps: None)
+    g = delaunay(ps)
+    assert g.stats.backend == "incremental"
+    assert g.simplices == want.simplices
+    assert g.stats.exact_fallbacks == 0
+
+
+def test_overflowing_squared_distances_raise():
+    # raised before either engine runs, as the in-sphere matrices hold |p - q|^2
+    pts = np.random.default_rng(0).uniform(-1, 1, (8, 2)) * 1e160
+    for subset in (pts, pts[:3]):
+        with pytest.raises(OverflowError):
+            delaunay(subset)
+
+
+def _near_tick_grid(shape, jitter, seed):
+    # off the tick by at most jitter: the certificate refuses Qhull's cells
+    # for most of these, so the builder decides
+    rng = np.random.default_rng(seed)
+    grid = _tick_grid(rng, shape)
+    return grid + rng.uniform(-jitter, jitter, grid.shape)
+
+
+@pytest.mark.parametrize("shape, jitter, seed", [
+    *(pytest.param((2, 2, 2, 2), 1e-14, seed, id=f"4d-{seed}") for seed in range(5)),
+    *(pytest.param((3, 3, 3), 1e-13, seed, id=f"3d-{seed}") for seed in (0, 3, 5))])
+def test_builder_triangulates_tick_grids(shape, jitter, seed):
+    pts = _near_tick_grid(shape, jitter, seed)
+    g = delaunay(pts)
+    assert g.stats.backend == "incremental"
+    assert g.cells.tolist() == sorted(map(list, bruteforce_simplices(pts)))
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (3, 3, 3), (2, 2, 2, 2)], ids=["2d", "3d", "4d"])
+def test_builder_refuses_tick_grids_with_exact_cospherical_subset(shape):
+    # jitter of at most 1e-15, under an ulp at 10, leaves many coordinates
+    # on the tick, so some grid cells stay exactly cospherical
+    pts = _near_tick_grid(shape, 1e-15, 6)
+    k = len(shape)
+    with pytest.raises(GeneralPositionError) as exc:
+        delaunay(pts)
+    assert exc.value.kind == "cospherical"
+    sub = pts[list(exc.value.subset)]
+    assert len(sub) == k + 2
+    simplex = next(j for j in range(k + 2)
+                   if orient(np.delete(sub, j, axis=0)) is not Sign.ZERO)
+    assert in_sphere(np.delete(sub, simplex, axis=0), sub[simplex]) is Sign.ZERO
 
 
 def test_builder_fallback_when_qhull_raises(monkeypatch):
@@ -434,7 +483,6 @@ def test_builder_fallback_when_qhull_raises(monkeypatch):
     assert g.stats.backend == "incremental"
 
 
-@needs_scipy
 def test_unique_triangulation_for_every_insertion_seed():
     # the circle through the square's corners holds (0.5, 0.5): the Delaunay
     # triangulation is unique, whatever the builder would meet on the way
