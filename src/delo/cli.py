@@ -1,13 +1,15 @@
 """Command-line surface: CSV in, scores/flags/edges/reports out.
 
 Exit codes: 0 success, 1 input or configuration error, 2 geometry error
-(degenerate input without jitter). Errors also emit a machine-readable JSON
-object on stderr.
+(degenerate input without jitter). Errors also emit one machine-readable
+JSON line on stderr. The subcommands only raise; main alone maps exceptions
+to exit codes and error objects.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -22,7 +24,6 @@ from .outlyingness import flag as flag_scores
 from .outlyingness import score
 from .simulation import (
     SimulationConfig,
-    resolve_processes,
     run_consistency_experiment,
     run_relative_outlyingness_experiment,
 )
@@ -127,18 +128,24 @@ def ingest_csv(path: str, spec: ColumnSpec, strict: bool = True,
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _open_out(path: str | None):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
+def _output(path: str | None):
+    """A context manager for the file at path, or for stdout (left open) if no path."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _emit_json(obj, path: str | None):
-    out = _open_out(path)
-    try:
-        out.write(json.dumps(obj, sort_keys=True, indent=2))
-        out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    with _output(path) as out:
+        out.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _emit_csv(path: str | None, schema: str, header, rows, footer: str | None = None):
+    """A '# schema=' line, the header, one line per row (each field as its
+    repr, so floats round-trip) and an optional '# footer' line."""
+    with _output(path) as out:
+        out.write(f"# schema={schema}\n" + ",".join(header) + "\n")
+        out.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        if footer:
+            out.write(f"# {footer}\n")
 
 
 def _error(kind: str, message: str, detail: dict | None = None) -> int:
@@ -154,6 +161,8 @@ def _error(kind: str, message: str, detail: dict | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 def _load(args):
+    if len(args.delimiter) != 1:
+        raise CLIInputError(f"--delimiter must be one character, got {args.delimiter!r}")
     spec = ColumnSpec(columns=parse_columns(args.columns),
                       delimiter=args.delimiter, header=args.header)
     jitter_seed = args.jitter_seed if args.jitter else None
@@ -161,135 +170,89 @@ def _load(args):
                       jitter_seed=jitter_seed)
 
 
-def cmd_score(args) -> int:
+def _scored(args):
+    """The input's ScoreTable, and per point (row, coords, log_score, score)
+    as Python values."""
     ps, rows = _load(args)
     table = score(delaunay(ps))
+    return table, list(zip(rows, ps.coords.tolist(), table.log_scores.tolist(),
+                           table.scores.tolist()))
+
+
+def cmd_score(args) -> int:
+    table, points = _scored(args)
     if args.format == "json":
-        recs = [{"row": rows[i], "coords": [float(c) for c in ps.coords[i]],
-                 "log_score": float(table.log_scores[i]),
-                 "score": float(table.scores[i])} for i in range(ps.n)]
+        recs = [{"row": r, "coords": c, "log_score": ls, "score": s}
+                for r, c, ls, s in points]
         _emit_json({"schema_version": SCORES_SCHEMA, "records": recs}, args.output)
     else:
-        out = _open_out(args.output)
-        try:
-            out.write(f"# schema={SCORES_SCHEMA}\n")
-            dim = ps.dim
-            out.write("row," + ",".join(f"x{d}" for d in range(dim)) + ",log_score,score\n")
-            for i in range(ps.n):
-                cs = ",".join(repr(float(c)) for c in ps.coords[i])
-                out.write(f"{rows[i]},{cs},{float(table.log_scores[i])!r},"
-                          f"{float(table.scores[i])!r}\n")
-        finally:
-            if out is not sys.stdout:
-                out.close()
+        _emit_csv(args.output, SCORES_SCHEMA,
+                  ["row", *(f"x{d}" for d in range(table.dim)), "log_score", "score"],
+                  ([r, *c, ls, s] for r, c, ls, s in points))
     return 0
 
 
 def cmd_flag(args) -> int:
     if not (math.isfinite(args.alpha) and args.alpha >= 0):
         raise CLIInputError("--alpha must be finite and nonnegative")
-    ps, rows = _load(args)
-    table = score(delaunay(ps))
-    report = flag_scores(table, args.alpha)
+    table, points = _scored(args)
+    flagged = [points[i] for i in flag_scores(table, args.alpha).flagged]
     if args.format == "json":
-        recs = [{"row": rows[i], "coords": [float(c) for c in ps.coords[i]],
-                 "score": float(table.scores[i])} for i in report.flagged]
+        recs = [{"row": r, "coords": c, "score": s} for r, c, _, s in flagged]
         _emit_json({"schema_version": FLAGS_SCHEMA, "alpha": args.alpha,
-                    "flagged_count": len(report.flagged), "total": ps.n,
+                    "flagged_count": len(flagged), "total": len(points),
                     "flagged": recs}, args.output)
     else:
-        out = _open_out(args.output)
-        try:
-            out.write(f"# schema={FLAGS_SCHEMA}\n")
-            dim = ps.dim
-            out.write("row," + ",".join(f"x{d}" for d in range(dim)) + ",score\n")
-            for i in report.flagged:
-                cs = ",".join(repr(float(c)) for c in ps.coords[i])
-                out.write(f"{rows[i]},{cs},{float(table.scores[i])!r}\n")
-            out.write(f"# flagged={len(report.flagged)} total={ps.n} alpha={args.alpha!r}\n")
-        finally:
-            if out is not sys.stdout:
-                out.close()
+        _emit_csv(args.output, FLAGS_SCHEMA,
+                  ["row", *(f"x{d}" for d in range(table.dim)), "score"],
+                  ([r, *c, s] for r, c, _, s in flagged),
+                  f"flagged={len(flagged)} total={len(points)} alpha={args.alpha!r}")
     return 0
 
 
 def cmd_triangulate(args) -> int:
-    ps, rows = _load(args)
+    ps, _ = _load(args)
+    if args.oracle and ps.n > BRUTEFORCE_MAX_N:
+        raise CLIInputError(f"--oracle is limited to n <= {BRUTEFORCE_MAX_N}")
     graph = delaunay(ps)
-    agreement = None
-    if args.oracle:
-        if ps.n > BRUTEFORCE_MAX_N:
-            raise CLIInputError(f"--oracle is limited to n <= {BRUTEFORCE_MAX_N}")
-        agreement = delaunay_bruteforce(ps) == graph.edge_set()
-    edges = [(i, j, length)
+    agreement = delaunay_bruteforce(ps) == graph.edge_set() if args.oracle else None
+    edges = [[i, j, length]
              for (i, j), length in zip(graph.edges.tolist(), graph.lengths.tolist())]
     if args.format == "json":
-        obj = {"schema_version": EDGES_SCHEMA,
-               "edges": [[i, j, length] for i, j, length in edges],
-               "simplices": [list(s) for s in graph.simplices]}
+        obj = {"schema_version": EDGES_SCHEMA, "edges": edges,
+               "simplices": graph.cells.tolist()}
         if agreement is not None:
             obj["oracle_agreement"] = agreement
         _emit_json(obj, args.output)
     else:
-        out = _open_out(args.output)
-        try:
-            out.write(f"# schema={EDGES_SCHEMA}\n")
-            out.write("i,j,length\n")
-            for i, j, length in edges:
-                out.write(f"{i},{j},{length!r}\n")
-            if agreement is not None:
-                out.write(f"# oracle_agreement={str(agreement).lower()}\n")
-        finally:
-            if out is not sys.stdout:
-                out.close()
+        _emit_csv(args.output, EDGES_SCHEMA, ["i", "j", "length"], edges,
+                  None if agreement is None else f"oracle_agreement={str(agreement).lower()}")
     return 0
 
 
-def _parse_point_list(texts, dim, what):
-    pts = []
-    for t in texts:
-        vals = [float(v) for v in t.split(",")]
-        if len(vals) != dim:
-            raise CLIInputError(f"{what} '{t}' does not have dimension {dim}")
-        pts.append(tuple(vals))
-    return tuple(pts)
-
-
 def cmd_simulate(args) -> int:
-    try:
-        outliers = _parse_point_list(args.outlier or [], args.dim, "outlier")
-        cfg = SimulationConfig(
-            dim=args.dim, n_inliers=args.n, replicates=args.replicates,
-            seed=args.seed, r_lo=args.r_lo, r_hi=args.r_hi, outliers=outliers,
-            thresholds=tuple(float(t) for t in args.thresholds.split(",")),
-        )
-        processes = resolve_processes(args.processes)
-    except ValueError as err:
-        raise CLIInputError(str(err)) from err
-    report = run_relative_outlyingness_experiment(cfg, processes=processes)
+    cfg = SimulationConfig(
+        dim=args.dim, n_inliers=args.n, replicates=args.replicates,
+        seed=args.seed, r_lo=args.r_lo, r_hi=args.r_hi,
+        outliers=tuple(args.outlier or ()), thresholds=args.thresholds,
+    )
+    report = run_relative_outlyingness_experiment(cfg, processes=args.processes)
     _emit_json(report.to_dict(include_runtime=args.include_runtime), args.output)
     if args.histogram_csv:
-        with open(args.histogram_csv, "w", encoding="utf-8") as fh:
-            fh.write("# schema=delo.histogram.v1\nbin_lo,bin_hi,count\n")
-            for lo, hi, c in zip(report.histogram_edges, report.histogram_edges[1:],
-                                 report.histogram_counts):
-                fh.write(f"{lo!r},{hi!r},{c}\n")
+        edges = report.histogram_edges
+        _emit_csv(args.histogram_csv, "delo.histogram.v1", ["bin_lo", "bin_hi", "count"],
+                  zip(edges, edges[1:], report.histogram_counts))
     print(f"runtime_seconds={report.runtime_seconds:.3f}", file=sys.stderr)
     return 0
 
 
 def cmd_consistency(args) -> int:
-    try:
-        center = tuple(float(v) for v in args.center.split(",")) if args.center \
-            else tuple([0.0] * args.dim)
-        outliers = _parse_point_list(args.outlier or ["3,0"], args.dim, "outlier")
-        schedule = [int(v) for v in args.schedule.split(",")]
-        report = run_consistency_experiment(
-            dim=args.dim, radius=args.radius, center=center, outliers=outliers,
-            n_schedule=schedule, replicates=args.replicates, seed=args.seed,
-            processes=args.processes)
-    except ValueError as err:
-        raise CLIInputError(str(err)) from err
+    report = run_consistency_experiment(
+        dim=args.dim, radius=args.radius,
+        center=args.center or (0.0,) * args.dim,
+        outliers=args.outlier or [(3.0,) + (0.0,) * (args.dim - 1)],
+        n_schedule=args.schedule, replicates=args.replicates, seed=args.seed,
+        processes=args.processes)
     _emit_json(report.to_dict(include_runtime=args.include_runtime), args.output)
     print(f"runtime_seconds={report.runtime_seconds:.3f}", file=sys.stderr)
     return 0
@@ -304,6 +267,16 @@ class _Parser(argparse.ArgumentParser):
         raise CLIInputError(f"{message}\n{self.format_usage()}")
 
 
+def number_list(text: str) -> tuple[float, ...]:
+    """'x,y,...' as floats: --thresholds, --center and each --outlier."""
+    return tuple(float(v) for v in text.split(","))
+
+
+def integer_list(text: str) -> tuple[int, ...]:
+    """'n1,n2,...' as ints: --schedule."""
+    return tuple(int(v) for v in text.split(","))
+
+
 def _add_io_args(p):
     p.add_argument("input", help="CSV file of coordinates")
     p.add_argument("--columns", default=None,
@@ -314,7 +287,7 @@ def _add_io_args(p):
                    help="skip unparseable rows instead of failing")
     p.add_argument("--jitter", action="store_true",
                    help="perturb coordinates by 1e-9 x bbox diameter (seeded)")
-    p.add_argument("--jitter-seed", type=int, default=0)
+    p.add_argument("--jitter-seed", type=int, default=0, help="non-negative seed of --jitter")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="output path (default stdout)")
 
@@ -346,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--r-lo", type=float, default=0.7)
     p.add_argument("--r-hi", type=float, default=1.1)
-    p.add_argument("--thresholds", default="0.9,1.0")
-    p.add_argument("--outlier", action="append", default=None,
+    p.add_argument("--thresholds", type=number_list, default="0.9,1.0")
+    p.add_argument("--outlier", action="append", type=number_list, default=None,
                    help="outlier coordinates 'x,y,...' (default: origin)")
     p.add_argument("--processes", type=int, default=None,
                    help="replicate workers (capped by DELO_THREADS)")
@@ -359,10 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("consistency", help="outlier score floor vs sample size")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--center", default=None, help="'x,y,...' (default: origin)")
-    p.add_argument("--outlier", action="append", default=None,
-                   help="outlier coordinates (default: '3,0')")
-    p.add_argument("--schedule", default="50,100,200,400")
+    p.add_argument("--center", type=number_list, default=None,
+                   help="'x,y,...' (default: origin)")
+    p.add_argument("--outlier", action="append", type=number_list, default=None,
+                   help="outlier coordinates 'x,y,...' (default: 3,0,...,0)")
+    p.add_argument("--schedule", type=integer_list, default="50,100,200,400")
     p.add_argument("--replicates", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--processes", type=int, default=None)
@@ -374,21 +348,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except CLIInputError as err:
-        return _error("input", str(err))
-    except (OSError, OverflowError, json.JSONDecodeError) as err:
-        return _error("input", str(err))
-    except GeometryError as err:
+    except GeometryError as err:  # a ValueError, so it goes first
         detail = {}
         if hasattr(err, "subset"):
             detail = {"kind": err.kind, "subset": list(err.subset)}
         elif hasattr(err, "indices"):
             detail = {"kind": "duplicate", "rows": list(err.indices)}
         return _error("geometry", str(err), detail)
+    except (CLIInputError, OSError, OverflowError, ValueError, csv.Error) as err:
+        # ValueError covers UnicodeDecodeError from the CSV reader
+        return _error("input", str(err))
 
 
 if __name__ == "__main__":

@@ -170,9 +170,9 @@ def _shell_replicate(args) -> np.ndarray | None:
 
 def run_relative_outlyingness_experiment(cfg: SimulationConfig, *,
                                          processes: int | None = None,
-                                         keep_ratios: bool = False,
-                                         histogram_bins: int = 50) -> ExperimentReport:
-    """Replicated shell experiment: ratios of inlier scores to the outlier's."""
+                                         keep_ratios: bool = False) -> ExperimentReport:
+    """Replicated shell experiment: ratios of inlier scores to the outlier's,
+    with a 50-bin histogram over [0, max ratio]."""
     if len(cfg.outliers) != 1:
         raise ValueError("the ratio reference requires exactly one outlier")
     t0 = time.perf_counter()
@@ -192,7 +192,7 @@ def run_relative_outlyingness_experiment(cfg: SimulationConfig, *,
     counts = {t: int((ratios >= t).sum()) for t in cfg.thresholds}
     fracs = {t: (c / total if total else math.nan) for t, c in counts.items()}
     max_ratio = float(ratios.max()) if total else math.nan
-    hist, edges = np.histogram(ratios, bins=histogram_bins,
+    hist, edges = np.histogram(ratios, bins=50,
                                range=(0.0, max_ratio if total else 1.0))
     return ExperimentReport(
         config=cfg,
@@ -281,11 +281,31 @@ def run_consistency_experiment(*, dim: int, radius: float, center, outliers,
 
     Checks the guaranteed floor: every outlier score is at least
     delta = min(separation from the ball, min pairwise outlier distance).
+    Raises ValueError for inputs that would make that check meaningless.
     """
+    if not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"dimension {dim} unsupported (1 <= dim <= {MAX_DIM})")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
+    if replicates < 1:
+        raise ValueError("need at least one replicate")
+    schedule = tuple(int(n) for n in n_schedule)
+    if not schedule or min(schedule) < dim + 1:  # fewer inliers cannot span R^dim
+        raise ValueError(f"need at least one sample size, each at least dim + 1 = {dim + 1}")
     center = tuple(float(c) for c in np.asarray(center, dtype=np.float64).reshape(-1))
     if len(center) != dim:
         raise ValueError("center dimension mismatch")
-    outs = np.asarray(outliers, dtype=np.float64).reshape(-1, dim)
+    outliers = tuple(tuple(float(c) for c in o) for o in outliers)
+    if not outliers:
+        raise ValueError("need at least one outlier")
+    for o in outliers:
+        if len(o) != dim:
+            raise ValueError(f"outlier {o} does not have dimension {dim}")
+    if len(set(outliers)) < len(outliers):
+        raise ValueError("outliers must be distinct")
+    outs = np.array(outliers)
+    if not (np.isfinite(center).all() and np.isfinite(outs).all()):
+        raise ValueError("center and outliers must be finite")
     gaps = np.linalg.norm(outs - np.array(center), axis=1) - radius
     if np.any(gaps <= 0):
         bad = int(np.argmin(gaps))
@@ -295,10 +315,9 @@ def run_consistency_experiment(*, dim: int, radius: float, center, outliers,
         pair = min(float(np.linalg.norm(a - b))
                    for idx, a in enumerate(outs) for b in outs[idx + 1:])
         delta = min(delta, pair)
-    schedule = tuple(int(n) for n in n_schedule)
 
     t0 = time.perf_counter()
-    args = [(dim, radius, center, tuple(map(tuple, outs)), n, seed, n_idx, rep)
+    args = [(dim, radius, center, outliers, n, seed, n_idx, rep)
             for n_idx, n in enumerate(schedule) for rep in range(replicates)]
     procs = resolve_processes(processes)
     if procs > 1 and len(args) > 1:
@@ -318,8 +337,7 @@ def run_consistency_experiment(*, dim: int, radius: float, center, outliers,
     gam_med = tuple(float(np.median(block)) for block in max_in)
     dec = lambda xs: all(b < a for a, b in zip(xs, xs[1:]))
     return ConsistencyReport(
-        dim=dim, radius=float(radius), center=center,
-        outliers=tuple(tuple(map(float, o)) for o in outs),
+        dim=dim, radius=float(radius), center=center, outliers=outliers,
         n_schedule=schedule, replicates=replicates, seed=seed, delta=delta,
         min_outlier_scores=min_out, max_inlier_scores=max_in,
         lambda_inlier=lam_in, lambda_all=lam_all, violations=violations,

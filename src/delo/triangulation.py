@@ -40,7 +40,6 @@ from .geometry import (
     affinely_independent_subset,
     in_sphere,
     is_affinely_independent,
-    jitter_points,
     orient,
 )
 
@@ -83,8 +82,6 @@ class DelaunayGraph:
     indptr: np.ndarray
     indices: np.ndarray
     cells: np.ndarray
-    insertion_seed: int
-    jitter_seed: int | None
     stats: BuildStats = BuildStats(0, 0, "incremental")
 
     def __post_init__(self):
@@ -546,8 +543,7 @@ def _qhull_delaunay(ps: PointSet) -> tuple[np.ndarray, BuildStats] | None:
     return cells, BuildStats(len(cells), exact, "qhull")
 
 
-def delaunay(points, *, jitter_seed: int | None = None,
-             insertion_seed: int = 0) -> DelaunayGraph:
+def delaunay(points, *, insertion_seed: int = 0) -> DelaunayGraph:
     """Delaunay triangulation of distinct points in general position.
 
     For n <= k+1 affinely independent points the result is the complete
@@ -555,16 +551,11 @@ def delaunay(points, *, jitter_seed: int | None = None,
     builder's insertions, so it matters only where Qhull's cells are not
     certified; there it can decide whether a near-degenerate set is refused,
     but never changes the cells returned. Degenerate inputs raise
-    GeneralPositionError; opt-in jitter (seeded, 1e-9 x bbox diameter)
-    resolves them at the cost of exactness of the coordinates. Coordinates
-    whose squared distances overflow a float raise OverflowError.
+    GeneralPositionError; geometry.jitter_points (seeded, 1e-9 x bbox
+    diameter) resolves them at the cost of exactness of the coordinates.
+    Coordinates whose squared distances overflow a float raise OverflowError.
     """
-    if jitter_seed is not None:
-        ps = jitter_points(points, jitter_seed)
-    elif isinstance(points, PointSet):
-        ps = points
-    else:
-        ps = PointSet(np.asarray(points, dtype=np.float64))
+    ps = points if isinstance(points, PointSet) else PointSet(np.asarray(points, dtype=np.float64))
     if ps.n < 2:
         raise GeometryError("triangulation needs at least 2 points")
     k = ps.dim
@@ -608,7 +599,5 @@ def delaunay(points, *, jitter_seed: int | None = None,
         indptr=np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))]),
         indices=dst[np.argsort(src, kind="stable")],
         cells=cells if ps.n > k else np.empty((0, k + 1), dtype=np.int64),
-        insertion_seed=insertion_seed,
-        jitter_seed=jitter_seed,
         stats=stats,
     )

@@ -142,6 +142,30 @@ def test_score_overflowing_coordinates_exit_1(tmp_path, capsys):
     assert "overflow" in obj["message"]
 
 
+@pytest.mark.parametrize("case", ["empty-delimiter", "long-delimiter", "negative-jitter-seed",
+                                  "non-utf8-byte", "over-long-field", "simulate-two-outliers"])
+def test_bad_input_gives_one_json_line_exit_1(tmp_path, capsys, triangle, case):
+    data = tmp_path / "data.csv"
+    argv = {
+        "empty-delimiter": ["score", triangle, "--delimiter", ""],
+        "long-delimiter": ["score", triangle, "--delimiter", ";;"],
+        "negative-jitter-seed": ["score", triangle, "--jitter", "--jitter-seed", "-1"],
+        "non-utf8-byte": ["score", str(data)],
+        "over-long-field": ["score", str(data)],
+        "simulate-two-outliers": ["simulate", "--dim", "2", "--n", "10", "--replicates", "1",
+                                  "--outlier", "0,0", "--outlier", "5,5"],
+    }[case]
+    if case == "non-utf8-byte":
+        data.write_bytes(b"0,0\n3,0\n0,\xff4\n")
+    elif case == "over-long-field":
+        data.write_text("0,0\n3,0\n0," + "4" * 131_073 + "\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["kind"] == "input"
+
+
 def test_change_point_series_scores_separate(tmp_path, capsys):
     rng = np.random.default_rng(321)
     walk1 = np.cumsum(rng.normal(0, 0.01, size=(300, 2)), axis=0)
@@ -309,3 +333,25 @@ def test_consistency_outlier_inside_ball_exit_1(capsys):
     code, _, _ = run(capsys, "consistency", "--outlier", "0.2,0", "--schedule", "30",
                      "--replicates", "2", "--processes", "1")
     assert code == 1
+
+
+def test_consistency_default_outlier_has_dim_coordinates(capsys):
+    code, out, _ = run(capsys, "consistency", "--dim", "3", "--schedule", "20",
+                       "--replicates", "1", "--processes", "1")
+    assert code == 0
+    assert json.loads(out)["config"]["outliers"] == [[3.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--outlier", "3,0", "--outlier", "3,0"],
+    ["--outlier", "3,0,4,0"],
+    ["--replicates", "0"],
+    ["--radius", "-1"],
+    ["--schedule", "30,x"],
+], ids=["duplicate-outliers", "outlier-dimension", "no-replicates", "negative-radius",
+        "bad-schedule"])
+def test_consistency_bad_input_exit_1(capsys, argv):
+    code, out, err = run(capsys, "consistency", "--schedule", "30", "--replicates", "2",
+                         "--processes", "1", *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["kind"] == "input"

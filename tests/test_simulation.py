@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from delo.geometry import GeometryError
 from delo.simulation import (
     SimulationConfig,
     _ball_array,
@@ -165,6 +166,29 @@ def test_consistency_rejects_outlier_inside_ball():
         run_consistency_experiment(
             dim=2, radius=1.0, center=(0, 0), outliers=[(0.5, 0)],
             n_schedule=[40], replicates=2, seed=5, processes=1)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(outliers=[(3, 0, 4, 0)]),
+    dict(replicates=0),
+    dict(n_schedule=[40, 0]),
+    dict(n_schedule=[2]),
+    dict(radius=-1.0),
+    dict(radius=math.inf),
+    dict(outliers=[(3, 0), (3, 0)]),
+    dict(outliers=[]),
+    dict(center=(math.nan, 0)),
+    dict(dim=7, center=(0,) * 7, outliers=[(3,) + (0,) * 6]),
+], ids=["outlier-dimension", "no-replicates", "schedule-size-0", "schedule-size-2",
+        "negative-radius", "infinite-radius", "duplicate-outliers", "no-outliers",
+        "nan-center", "dim-7"])
+def test_consistency_validation(kw):
+    base = dict(dim=2, radius=1.0, center=(0, 0), outliers=[(3, 0)],
+                n_schedule=[40], replicates=2, seed=5, processes=1)
+    base.update(kw)
+    with pytest.raises(ValueError) as exc:
+        run_consistency_experiment(**base)
+    assert not isinstance(exc.value, GeometryError)  # refused as input, before sampling
 
 
 def test_consistency_lambda_restricted_to_inliers():

@@ -148,8 +148,7 @@ def test_cocircular_refused_with_subset():
 
 
 def test_jitter_mode_resolves_cocircularity():
-    g = delaunay([(0, 0), (1, 0), (0, 1), (1, 1)], jitter_seed=11)
-    assert g.jitter_seed == 11
+    g = delaunay(jitter_points([(0, 0), (1, 0), (0, 1), (1, 1)], 11))
     assert len(g.edges) == 5
     assert g.is_connected()
 
