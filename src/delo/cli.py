@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DuplicatePointError, GeometryError, MAX_DIM, PointSet, jitter_points
-from .oracle import BRUTEFORCE_MAX_N, delaunay_bruteforce
 from .outlyingness import flag as flag_scores
 from .outlyingness import score
 from .simulation import (
@@ -211,6 +210,9 @@ def cmd_flag(args) -> int:
 
 
 def cmd_triangulate(args) -> int:
+    # imported here, as only --oracle needs it and every import adds to start-up
+    from .oracle import BRUTEFORCE_MAX_N, delaunay_bruteforce
+
     ps, _ = _load(args)
     if args.oracle and ps.n > BRUTEFORCE_MAX_N:
         raise CLIInputError(f"--oracle is limited to n <= {BRUTEFORCE_MAX_N}")

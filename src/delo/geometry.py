@@ -9,6 +9,7 @@ floats, so every returned sign is the true sign.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -100,8 +101,20 @@ class PointSet:
 
 
 # ---------------------------------------------------------------------------
-# determinant kernel: row-scaled float filter + exact integer fallback
+# determinant kernels: row-scaled float filters + exact integer fallback
 # ---------------------------------------------------------------------------
+
+def _unit_rows(mats: np.ndarray) -> np.ndarray:
+    """mats with each row (last axis) scaled by a power of two so that its
+    largest entry is below 1 in magnitude.
+
+    The scaling is exact except for entries below 2^-1022 times the row
+    maximum, which round by less than 2^-1074 of it.
+    """
+    # a maximum per column is much faster than a reduction over a short axis
+    _, e = np.frexp(functools.reduce(np.maximum, np.abs(np.moveaxis(mats, -1, 0))))
+    return np.ldexp(mats, -e[..., None])
+
 
 def _filter_bound(d: int, entry_ulps) -> np.ndarray | float:
     # Conservative forward bound for a partial-pivoted LU determinant of a
@@ -119,13 +132,74 @@ def _filtered_det_signs(mats: np.ndarray, entry_ulps=1.0):
     row maximum). Returns (signs, inconclusive): signs are certified except
     where inconclusive is True, which callers must resolve exactly.
     """
-    m, d, _ = mats.shape
-    rmax = np.abs(mats).max(axis=2)
-    _, e = np.frexp(rmax)
-    scaled = mats * np.ldexp(1.0, -e)[:, :, None]  # exact power-of-two scaling
-    dets = np.linalg.det(scaled)
+    d = mats.shape[1]
+    dets = np.linalg.det(_unit_rows(mats))
     signs = np.sign(dets).astype(np.int64)
     return signs, np.abs(dets) <= _filter_bound(d, entry_ulps)
+
+
+@functools.cache
+def _laplace_tables(r: int):
+    """Index tables for _cofactors with r rows and r+1 columns.
+
+    Level t lists the t-subsets of the columns in combinations order, with
+    each subset's columns, the positions one level down of the subsets
+    without each of them, and the signs of the expansion along row t-1.
+    last[j] is the position of the r-subset without column j.
+    """
+    levels, down = [], {(): 0}
+    for t in range(1, r + 1):
+        subsets = list(combinations(range(r + 1), t))
+        levels.append((np.array(subsets),
+                       np.array([[down[s[:p] + s[p + 1:]] for p in range(t)] for s in subsets]),
+                       (-1.0) ** (t - 1 + np.arange(t))))
+        down = {s: i for i, s in enumerate(subsets)}
+    last = [down[tuple(c for c in range(r + 1) if c != j)] for j in range(r + 1)]
+    return levels, np.array(last), (-1.0) ** (r + np.arange(r + 1))
+
+
+def _cofactors(rows: np.ndarray) -> np.ndarray:
+    """The r+1 cofactors h of each r x (r+1) matrix of an (m, r, r+1) batch.
+
+    h_j is (-1)^(r+j) times the minor without column j, so h . x is the
+    determinant of the matrix with x appended as its last row. A Laplace
+    expansion along one row per level, vectorised over the column subsets;
+    for rows with entries at most 1 in magnitude, _cofactor_bound bounds its
+    error.
+    """
+    levels, last, signs = _laplace_tables(rows.shape[1])
+    minors = np.ones((len(rows), 1))
+    for t, (cols, down, expand) in enumerate(levels):
+        row = rows[:, t]
+        minors = sum(e * row[:, c] * minors[:, d] for e, c, d in zip(expand, cols.T, down.T))
+    return minors[:, last] * signs
+
+
+def _cofactor_bound(d: int, entry_ulps: float) -> float:
+    """Forward error bound of h . x = det([rows; x]), d = r + 1, with h from
+    _cofactors and all entries computed to within entry_ulps * EPS of exact
+    values at most 1 in magnitude; it bounds each cofactor as well.
+
+    Level t of the expansion computes t x t minors as sums of t rounded
+    products +-a * M, M a level t-1 minor, and the dot product with x is
+    level d. Such a sum is within gamma_t = t EPS / (1 - t EPS) of its exact
+    value relative to the sum of the magnitudes (in any order, with or
+    without FMA). With u = entry_ulps * EPS, B_t bounding the computed
+    level-t minors and e_t their error (B_0 = 1, e_0 = 0):
+
+        B_t <= t (1 + gamma_t) B_(t-1),
+        e_t <= t ((gamma_t + u) B_(t-1) + (1 + u) e_(t-1)).
+
+    So B_t <= t! G with G = prod(1 + gamma_i), and f_t = e_t / t! satisfies
+    f_t <= (gamma_t + u) G + (1 + u) f_(t-1), giving
+
+        e_d <= d! G (1 + u)^d (d u + sum_t gamma_t).
+
+    For d <= 7 and u <= 20 EPS, G (1 + u)^d and the 1 / (1 - t EPS) in
+    gamma_t stay below 1.001, and sum_t t = d (d + 1) / 2; the remaining
+    slack covers underflow, below 2^-1074 per operation.
+    """
+    return 1.01 * _FACT[d] * EPS * (d * entry_ulps + d * (d + 1) / 2)
 
 
 def _bareiss_sign(m: list[list[int]]) -> int:
@@ -210,19 +284,43 @@ def _exact_orient_signs(simplices: np.ndarray) -> list[int]:
             for base, *rest in _scaled_ints(simplices)]
 
 
+def _face_planes(faces: np.ndarray) -> np.ndarray:
+    """One hyperplane per face of an (m, k, k) batch, k points each: the
+    _cofactors of the rows f_j - f_0, j = 1..k-1, each scaled by a power of
+    two, for _plane_orient_signs."""
+    return _cofactors(_unit_rows(faces[:, 1:] - faces[:, :1]))
+
+
+def _plane_orient_signs(faces: np.ndarray, h: np.ndarray, which: np.ndarray,
+                        queries: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact orientation signs of (queries[i], *faces[which[i]]) for an
+    (m, k, k) batch of faces with hyperplanes h from _face_planes, one dot
+    product per query, and how many of them the float filter left to exact
+    arithmetic."""
+    k = queries.shape[1]
+    dots = np.einsum("ij,ij->i", h[which], _unit_rows(queries - faces[which, 0]))
+    # the query row comes last in the dot product: k swaps move it first
+    signs = np.sign(dots).astype(np.int64) * (-1) ** k
+    unsure = np.abs(dots) <= _cofactor_bound(k, 1.0)  # differences: within 1 EPS
+    if unsure.any():
+        signs[unsure] = _exact_orient_signs(
+            np.concatenate([queries[unsure][:, None], faces[which[unsure]]], axis=1))
+    return signs, int(unsure.sum())
+
+
 def _orient_signs(simplices: np.ndarray) -> tuple[np.ndarray, int]:
     """Exact orientation signs of an (m, k+1, k) batch of simplices, and how
     many of them the float filter left to exact arithmetic."""
-    signs, bad = _filtered_det_signs(simplices[:, 1:] - simplices[:, :1])
-    if bad.any():
-        signs[bad] = _exact_orient_signs(simplices[bad])
-    return signs, int(bad.sum())
+    faces = simplices[:, 1:]
+    return _plane_orient_signs(faces, _face_planes(faces), np.arange(len(faces)),
+                               simplices[:, 0])
 
 
 def _insphere_mats(pts: np.ndarray, queries: np.ndarray):
     # rows i: (p_i - q, |p_i - q|^2); one (k+1)x(k+1) matrix per query. pts is
     # one simplex (k+1, k) shared by every query, or one simplex per query
-    # (m, k+1, k)
+    # (m, k+1, k). Entries are within 2 (k + 3) EPS of the row maximum: one
+    # rounding per difference, about k + 3 for |p - q|^2, doubled for safety
     diffs = pts - queries[:, None, :]
     norms = np.einsum("mij,mij->mi", diffs, diffs)
     return np.concatenate([diffs, norms[:, :, None]], axis=2)
@@ -251,6 +349,45 @@ def _insphere_det_signs(pts: np.ndarray, queries: np.ndarray) -> tuple[np.ndarra
         simplices = np.broadcast_to(pts, (len(mats), k + 1, k))
         signs[bad] = _exact_insphere_signs(simplices[bad], queries[bad])
     return signs, int(bad.sum())
+
+
+def _lifted_planes(simplices: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """One lifted hyperplane per simplex of an (m, k+1, k) batch.
+
+    h holds the _cofactors of the rows (v_i - v_0, |v_i - v_0|^2), i = 1..k,
+    each scaled by a power of two. For a query q, h . (q - v_0, |q - v_0|^2)
+    then has the sign of the lifted orientation of (v_0, ..., v_k, q), which
+    is (-1)^(k+1) times the _insphere_mats determinant, and h_k that of the
+    orientation determinant. Returns h, the exact orientation signs and how
+    many of them the float filter left to exact arithmetic.
+    """
+    k = simplices.shape[2]
+    h = _cofactors(_unit_rows(_insphere_mats(simplices[:, 1:], simplices[:, 0])))
+    signs = np.sign(h[:, k]).astype(np.int64)
+    unsure = np.abs(h[:, k]) <= _cofactor_bound(k + 1, 2.0 * (k + 3))
+    if unsure.any():
+        signs[unsure] = _exact_orient_signs(simplices[unsure])
+    return h, signs, int(unsure.sum())
+
+
+def _plane_insphere_signs(simplices: np.ndarray, h: np.ndarray, orients: np.ndarray,
+                          which: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, int]:
+    """Position of queries[i] relative to the circumsphere of
+    simplices[which[i]] (1 strictly inside, 0 on, -1 outside), from the
+    simplices' _lifted_planes h and orientation signs: one dot product per
+    query, resolved exactly where it is within the bound. Returns the signs
+    and how many of them the float filter left to exact arithmetic.
+    """
+    k = queries.shape[1]
+    lifted = _unit_rows(_insphere_mats(queries[:, None], simplices[which, 0]))[:, 0]
+    dots = np.einsum("ij,ij->i", h[which], lifted)
+    signs = np.sign(dots).astype(np.int64)
+    unsure = np.abs(dots) <= _cofactor_bound(k + 1, 2.0 * (k + 3))
+    if unsure.any():
+        exact = _exact_insphere_signs(simplices[which[unsure]], queries[unsure])
+        signs[unsure] = np.multiply(exact, (-1) ** (k + 1))
+    # in_sphere is (-1)^k * orientation * _insphere_mats det (in_sphere_many)
+    return -signs * orients[which], int(unsure.sum())
 
 
 def in_sphere_many(simplex, queries) -> np.ndarray:

@@ -1,19 +1,22 @@
 """Slow, independent references for Delaunay adjacency.
 
-Two routes that must agree with the hull-based triangulation and share only
-the exact predicates of delo.geometry with it. Exhaustive empty-circumsphere
-enumeration over all (k+1)-subsets lifts each subset to one hyperplane and
-tests every sample point with a dot product; a sign within the forward error
-bound is decided in exact arithmetic, so every sign is the true one. A
-linear-program feasibility test decides a single pair (is there a point
-equidistant from both that no other sample point beats?). Sizes are guarded;
+Two routes that must agree with the triangulation. Exhaustive
+empty-circumsphere enumeration over all (k+1)-subsets lifts each subset to
+one hyperplane and tests every sample point with a dot product; a sign
+within the forward error bound is decided in exact arithmetic, so every
+sign is the true one. It shares that kernel (geometry._lifted_planes, with
+its cofactor expansion and bound) and the exact predicates with the
+triangulation's certificate, but not the enumeration: it never sees the
+cells it is compared with. A linear-program feasibility test decides a
+single pair (is there a point equidistant from both that no other sample
+point beats?); it shares nothing with the other two. Sizes are guarded;
 these exist for validation, not performance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -22,9 +25,10 @@ from .geometry import (
     GeneralPositionError,
     GeometryError,
     PointSet,
+    _cofactor_bound,
     _exact_insphere_signs,
-    _exact_orient_signs,
-    _filter_bound,
+    _lifted_planes,
+    _unit_rows,
     distance,
 )
 
@@ -51,39 +55,32 @@ def bruteforce_simplices(points) -> list[tuple[int, ...]]:
     if n > BRUTEFORCE_MAX_N:
         raise GeometryError(f"brute-force oracle is guarded to n <= {BRUTEFORCE_MAX_N}")
     coords = ps.coords
-    subsets = np.array(list(combinations(range(n), k + 1)))
+    subsets = np.fromiter(chain.from_iterable(combinations(range(n), k + 1)),
+                          dtype=np.int64).reshape(-1, k + 1)
     # lifted[a, q] = (x_q - x_a, |x_q - x_a|^2), rows scaled exactly to entries below 1
     diffs = coords[None] - coords[:, None]
     lifted = np.concatenate([diffs, np.einsum("aqi,aqi->aq", diffs, diffs)[..., None]], axis=2)
     if not np.isfinite(lifted).all():  # the error bound below needs finite entries
         raise OverflowError("squared distance overflows a float")
-    lifted *= np.ldexp(1.0, -np.frexp(np.abs(lifted).max(axis=2))[1])[..., None]
-    # A subset's rows lifted[p_0, p_i], i = 1..k, have k+1 cofactors h (h_j is
-    # (-1)^(k+j) times the minor without column j). h_k is the orientation
-    # determinant o, D(q) = h . lifted[p_0, q] is the in-sphere determinant
-    # with lifted[p_0, q] as last row, and q is strictly inside the
-    # circumsphere iff o D(q) < 0. Error of D: entries are below 1 and off by
-    # at most u = 2(k+3) EPS, as in the in-sphere filter, so each h_j is off
-    # by at most c = _filter_bound(k, 2(k+3)) and is below k!. The k+1
-    # products add (k+1)(c + k! u), their sum 1.01 (k+1)^2 EPS (k! + c)
-    # (Higham's gamma); as c >= 8 k (k+3) k! EPS, all is below 4 (k+1) c.
-    c = _filter_bound(k, 2.0 * (k + 3))
-    cols = [[i for i in range(k + 1) if i != j] for j in range(k + 1)]
-    cof_sign = (-1.0) ** (k + np.arange(k + 1))
+    lifted = _unit_rows(lifted)
+    # A subset's lifted hyperplane h (geometry._lifted_planes, the kernel the
+    # certificate uses) makes D(q) = h . lifted[p_0, q] the lifted
+    # orientation of the subset and q, and q is strictly inside the
+    # circumsphere iff o D(q) < 0 for the orientation o. D is within
+    # _cofactor_bound of its exact value, as the rows of h and lifted[p_0, q]
+    # are built alike.
+    bound = _cofactor_bound(k + 1, 2.0 * (k + 3))
     accepted, spans = [], False
     block = max(1, 2 ** 17 // n)
     for start in range(0, len(subsets), block):
         sub = subsets[start:start + block]
-        h = np.linalg.det(lifted[sub[:, :1], sub[:, 1:]][:, :, cols].swapaxes(1, 2)) * cof_sign
-        orients = np.sign(h[:, k]).astype(np.int64)
-        unsure = np.abs(h[:, k]) <= c
-        orients[unsure] = _exact_orient_signs(coords[sub[unsure]])
+        h, orients, _ = _lifted_planes(coords[sub])
         dets = np.einsum("bj,bqj->bq", h, lifted[sub[:, 0]])
         inside = -np.sign(dets).astype(np.int64) * orients[:, None]
         skip = np.zeros(dets.shape, dtype=bool)  # members, and every q of a flat subset
         np.put_along_axis(skip, sub, True, axis=1)
         skip[orients == 0] = True
-        r, q = np.nonzero((np.abs(dets) <= 4 * (k + 1) * c) & ~skip)
+        r, q = np.nonzero((np.abs(dets) <= bound) & ~skip)
         # the exact determinant has rows (p_i - q, |p_i - q|^2): sign (-1)^(k+1) D
         exact = np.array(_exact_insphere_signs(coords[sub[r]], coords[q]), dtype=np.int64)
         inside[r, q] = exact * orients[r] * (-1) ** k

@@ -61,8 +61,10 @@ class SimulationConfig:
                            tuple(tuple(float(c) for c in o) for o in self.outliers))
         object.__setattr__(self, "thresholds",
                            tuple(float(t) for t in self.thresholds))
-        if not 0 <= self.r_lo < self.r_hi:
-            raise ValueError("need 0 <= r_lo < r_hi")
+        if not 0 <= self.r_lo < self.r_hi < math.inf:
+            raise ValueError("need 0 <= r_lo < r_hi, both finite")
+        if not all(map(math.isfinite, self.thresholds)):
+            raise ValueError(f"thresholds must be finite, got {self.thresholds}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if self.n_inliers < self.dim + 1:
@@ -70,6 +72,8 @@ class SimulationConfig:
         for o in self.outliers:
             if len(o) != self.dim:
                 raise ValueError(f"outlier {o} does not have dimension {self.dim}")
+            if not all(map(math.isfinite, o)):
+                raise ValueError(f"outlier {o} has a non-finite coordinate")
 
 
 def sample_shell(cfg: SimulationConfig, replicate_index: int) -> PointSet:

@@ -12,14 +12,15 @@ not locally Delaunay (Qhull splits facets it merged for precision in any
 order), bistellar flips repair those ridges and the certificate runs again.
 
 Otherwise -- k = 1, Qhull failing, or any check failing or meeting a zero
-sign -- the points are lifted to the paraboloid in R^(k+1), the incremental
-beneath-beyond algorithm with conflict lists builds their convex hull, and
-the downward-facing facets project back to the Delaunay cells. Every
-visibility decision is the exact sign of an in-sphere determinant, from the
-kernel the certificate uses (float filter with exact integer fallback), so
-the output is the true triangulation whenever the input is in general
-position; degeneracies encountered along the way are reported as errors
-naming the offending subset.
+sign where it needs a strict one -- the points are lifted to the paraboloid
+in R^(k+1), the incremental beneath-beyond algorithm with conflict lists
+builds their convex hull, and the downward-facing facets project back to
+the Delaunay cells. Every visibility decision is the exact sign of an
+in-sphere determinant, from the predicate in_sphere and the flips use (float
+filter with exact integer fallback), so the output is the true
+triangulation whenever the input is in general position; degeneracies
+encountered along the way are reported as errors naming the offending
+subset.
 """
 
 from __future__ import annotations
@@ -35,8 +36,12 @@ from .geometry import (
     GeometryError,
     PointSet,
     Sign,
+    _face_planes,
     _insphere_det_signs,
+    _lifted_planes,
     _orient_signs,
+    _plane_insphere_signs,
+    _plane_orient_signs,
     affinely_independent_subset,
     in_sphere,
     is_affinely_independent,
@@ -313,11 +318,27 @@ def _faces(simplices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return simplices[:, keep].reshape(-1, d - 1), simplices.reshape(-1)
 
 
-def _sorted_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lexicographic order of the rows, and whether each sorted row equals the next."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    return order, (ranked[1:] == ranked[:-1]).all(axis=1)
+def _sorted_rows(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """An order of rows of ints in [0, n) that sorts them lexicographically,
+    and whether each sorted row equals the next.
+
+    Each run of floor(63 / b) columns, b = (n - 1).bit_length(), is packed
+    into one int64 word, first column highest, so that the words compare as
+    the rows do; every benchmark input needs one word per row. Further words
+    are folded in by rank: (rank of the key so far) * len(rows) + (rank of
+    the word), so one argsort of one key orders the rows.
+    """
+    bits = max(1, (n - 1).bit_length())
+    per = 63 // bits
+    words = [functools.reduce(lambda w, col: (w << bits) | col, rows[:, c:c + per].T)
+             for c in range(0, rows.shape[1], per)]
+    key = words[0]
+    for w in words[1:]:
+        key = (np.unique(key, return_inverse=True)[1] * len(rows)
+               + np.unique(w, return_inverse=True)[1])
+    order = np.argsort(key)
+    ranked = key[order]
+    return order, ranked[1:] == ranked[:-1]
 
 
 def _certify(coords: np.ndarray, cells) -> tuple[np.ndarray, int] | None:
@@ -340,30 +361,52 @@ def _check(coords: np.ndarray, cells) -> tuple[np.ndarray, int, list] | None:
     Returns the cells with sorted rows in lexicographic order, the number of
     signs resolved in exact arithmetic and the interior ridges (sorted vertex
     tuples) whose opposite apex lies strictly inside the other cell's
-    circumsphere; or None if any other check fails or meets a zero sign.
-    With every sign exact, the checks are (Mehlhorn et al. 1999, "Checking
-    geometric programs or verification of geometric structures"):
+    circumsphere; or None if any other check fails or meets a zero sign
+    where it needs a strict one. With every sign exact, the checks are
+    (after Mehlhorn et al. 1999, "Checking geometric programs or
+    verification of geometric structures"):
 
-    - every point is a vertex and every cell has a nonzero orientation;
-    - every ridge lies in at most two cells, and two cells sharing a ridge
-      lie on opposite sides of it;
-    - the boundary ridges (those in one cell) form a closed surface that is
-      strictly locally convex;
-    - a point inside one cell lies in no other cell and strictly inside
-      every boundary ridge.
+    (a) every point is a vertex and every cell has a nonzero orientation;
+    (b) every ridge lies in at most two cells, and two cells sharing a ridge
+        lie on opposite sides of it;
+    (c) the boundary ridges (those in one cell) form a closed surface B:
+        each of their (k-2)-faces lies in exactly two of them;
+    (d) B is weakly locally convex: at each such face, the vertex of either
+        ridge that the other lacks lies on the other's inner side (that of
+        its cell) or on its hyperplane, as points on the hull boundary that
+        are not hull vertices make it;
+    (e) a point p lies strictly inside one cell, in no other closed cell,
+        and strictly on the inner side of every boundary ridge.
 
-    Together these make the cells a triangulation of the convex hull (the
-    last check rules out, say, two clusters each triangulated on its own).
-    Finally every interior ridge must be strictly locally Delaunay, which
-    makes it the unique Delaunay triangulation.
+    Then the cells triangulate the convex hull. Let c(x) count the cells
+    holding x. By (b) it does not change across an interior ridge. A ray
+    from p crosses each boundary ridge at most once, from its inner side to
+    its outer, leaving that ridge's cell: along a ray avoiding the
+    (k-2)-faces, c only falls, from 1 at p (e) to 0 far away, so the ray
+    meets B exactly once. The cells thus cover the region K that B bounds,
+    star-shaped about p, exactly once, and nothing outside it. A generic
+    2-plane through p cuts B in a closed polygon that every ray from p in it
+    meets once and that never turns outward (d); where the sign in (d) is
+    zero the two edges run straight on, since a fold would put p strictly
+    on both sides of one hyperplane. Such a polygon is convex, so it lies on
+    the inner side of each edge line; hence K lies on the inner side of
+    every boundary ridge, is their intersection and is convex, and by (a)
+    it is the convex hull of the points. Finally every interior ridge must
+    be strictly locally Delaunay, which makes the lifted cells a strictly
+    convex lower hull: the unique Delaunay triangulation.
+
+    Each cell's orientation and in-sphere signs come from one lifted
+    hyperplane (geometry._lifted_planes); each interior ridge costs one dot
+    product.
     """
     n, k = coords.shape
     cells = np.sort(np.asarray(cells, dtype=np.int64), axis=1)
-    cells = cells[np.lexsort(cells.T[::-1])]
-    if cells.shape[1] != k + 1 or not np.array_equal(np.unique(cells), np.arange(n)):
+    if (cells.shape[1] != k + 1 or cells.min(initial=0) < 0 or cells.max(initial=0) >= n
+            or not np.bincount(cells.ravel(), minlength=n).all()):
         return None
+    cells = cells[_sorted_rows(cells, n)[0]]
     pts = coords[cells]
-    sigma, exact = _orient_signs(pts)
+    h, sigma, exact = _lifted_planes(pts)
     if not sigma.all():
         return None
 
@@ -373,7 +416,7 @@ def _check(coords: np.ndarray, cells) -> tuple[np.ndarray, int, list] | None:
     ridges, apex = _faces(cells)
     owner = np.repeat(np.arange(m), k + 1)
     side = np.repeat(sigma, k + 1) * np.tile((-1) ** np.arange(k + 1), m)
-    order, same = _sorted_rows(ridges)
+    order, same = _sorted_rows(ridges, n)
     if (same[1:] & same[:-1]).any():
         return None  # a ridge in three or more cells
     a, b = order[:-1][same], order[1:][same]
@@ -383,25 +426,29 @@ def _check(coords: np.ndarray, cells) -> tuple[np.ndarray, int, list] | None:
     bnd = order[single]
 
     # closed boundary: every (k-2)-face of a boundary ridge is in exactly two
-    # of them; locally convex: each lies strictly on the inner side of the other
+    # of them; weakly locally convex: each lies on the inner side of the
+    # other or on its hyperplane. One hyperplane per boundary ridge serves
+    # these signs and the covered point's.
+    walls = coords[ridges[bnd]]
+    planes = _face_planes(walls)
     faces, dropped = _faces(ridges[bnd])
-    face_ridge = np.repeat(bnd, k)
-    order, same = _sorted_rows(faces)
+    order, same = _sorted_rows(faces, n)
     if len(order) % 2 or not same[0::2].all() or same[1::2].any():
         return None
-    x = np.concatenate([order[0::2], order[1::2]])
+    x = np.concatenate([order[0::2], order[1::2]]) // k  # face i is of wall i // k
     y = np.concatenate([order[1::2], order[0::2]])
-    convex, e = _orient_signs(np.concatenate(
-        [coords[dropped[y]][:, None], coords[ridges[face_ridge[x]]]], axis=1))
+    convex, e = _plane_orient_signs(walls, planes, x, coords[dropped[y]])
     exact += e
-    if (convex != side[face_ridge[x]]).any():
+    if ((convex != side[bnd[x]]) & (convex != 0)).any():
         return None
 
-    # one point covered exactly once: strictly inside the largest cell, in
-    # no other closed cell, and strictly inside every boundary ridge
-    c0 = int(np.abs(np.linalg.det(pts[:, 1:] - pts[:, :1])).argmax())
+    # one point covered exactly once: strictly inside the cell with the
+    # largest |h_k| (the fattest against its lifted rows), in no other
+    # closed cell, and strictly inside every boundary ridge
+    c0 = int(np.abs(h[:, k]).argmax())
     p = pts[c0].mean(axis=0)
-    near = ((pts.min(axis=1) <= p) & (p <= pts.max(axis=1))).all(axis=1)
+    lo, hi = (functools.reduce(f, pts.swapaxes(0, 1)) for f in (np.minimum, np.maximum))
+    near = ((lo <= p) & (p <= hi)).all(axis=1)
     near[c0] = True
     cand = np.nonzero(near)[0]
     swapped = np.repeat(pts[cand], k + 1, axis=0)
@@ -412,17 +459,15 @@ def _check(coords: np.ndarray, cells) -> tuple[np.ndarray, int, list] | None:
     mine = cand == c0
     if not (inside[mine] > 0).all() or (inside[~mine] >= 0).all(axis=1).any():
         return None
-    wall = np.concatenate([np.broadcast_to(p, (len(bnd), 1, k)), coords[ridges[bnd]]], axis=1)
-    seen, e = _orient_signs(wall)
+    seen, e = _plane_orient_signs(walls, planes, np.arange(len(bnd)),
+                                  np.broadcast_to(p, (len(bnd), k)))
     exact += e
     if (seen != side[bnd]).any():
         return None
 
-    # strictly locally Delaunay: b's apex strictly outside a's circumsphere,
-    # where in_sphere = det sign * orientation * (-1)^k
-    det, e = _insphere_det_signs(pts[owner[a]], coords[apex[b]])
+    # strictly locally Delaunay: b's apex strictly outside a's circumsphere
+    inside, e = _plane_insphere_signs(pts, h, sigma, owner[a], coords[apex[b]])
     exact += e
-    inside = det * sigma[owner[a]] * (-1) ** k
     if not inside.all():
         return None
     return cells, exact, [tuple(r) for r in ridges[a[inside > 0]].tolist()]

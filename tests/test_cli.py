@@ -311,6 +311,19 @@ def test_simulate_invalid_flags_exit_1(capsys):
     assert json.loads(err)["kind"] == "input"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--thresholds", "nan,inf"],
+    ["--outlier", "nan,0"],
+    ["--r-hi", "inf"],
+], ids=["thresholds", "outlier", "r-hi"])
+def test_simulate_non_finite_flags_exit_1(capsys, argv):
+    # each used to exit 0 with NaN in the report, or fail later as geometry
+    code, out, err = run(capsys, "simulate", "--dim", "2", "--n", "20", "--replicates", "1",
+                         "--processes", "1", *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["kind"] == "input"
+
+
 def test_simulate_bad_delo_threads_exits_1(capsys, monkeypatch):
     monkeypatch.setenv("DELO_THREADS", "abc")
     code, out, err = run(capsys, "simulate", "--dim", "2", "--n", "30",

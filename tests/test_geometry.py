@@ -20,7 +20,15 @@ from delo import (
     lift,
     orient,
 )
-from delo.geometry import _exact_insphere_signs, _exact_orient_signs, exact_det_sign
+from delo.geometry import (
+    _cofactor_bound,
+    _cofactors,
+    _exact_insphere_signs,
+    _exact_orient_signs,
+    _orient_signs,
+    _unit_rows,
+    exact_det_sign,
+)
 
 from conftest import random_pointset
 
@@ -148,6 +156,57 @@ def test_exact_int_signs_match_rational(rng):
                 want_insphere.append(exact_det_sign([r + [sum(x * x for x in r)] for r in rows]))
             assert _exact_orient_signs(simplices) == want_orient
             assert _exact_insphere_signs(simplices, queries) == want_insphere
+
+
+def _fraction_det(rows) -> Fraction:
+    """Exact determinant of a square matrix of floats, by Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_cofactors_within_bound_of_exact_minors(r):
+    # random rows, and rows whose last one is a combination of the others
+    # up to 1e-12 (tiny minors, where only an absolute bound can hold); the
+    # entries are exact, so the bound is taken with entry_ulps = 0
+    rng = np.random.default_rng(r)
+    rows = rng.uniform(-1, 1, (30, r, r + 1))
+    near = rows.copy()
+    near[:, -1] = (np.einsum("mi,mij->mj", rng.uniform(-1, 1, (30, r - 1)), rows[:, :-1])
+                   + rng.uniform(-1e-12, 1e-12, (30, r + 1)))
+    batch = _unit_rows(np.concatenate([rows, near]))
+    x = rng.uniform(-1, 1, (len(batch), r + 1))
+    h = _cofactors(batch)
+    dots = np.einsum("ij,ij->i", h, x)
+    for mat, hi, xi, dot in zip(batch, h, x, dots):
+        for j in range(r + 1):
+            minor = _fraction_det(np.delete(mat, j, axis=1)) * (-1) ** (r + j)
+            assert abs(Fraction(hi[j]) - minor) <= _cofactor_bound(r, 0.0)
+        exact = _fraction_det(np.vstack([mat, xi]))
+        assert abs(Fraction(dot) - exact) <= _cofactor_bound(r + 1, 0.0)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_batched_orientation_matches_orient(k, rng):
+    # nearly flat simplices: the last vertex within 1e-14 of the span of the others
+    simplices = rng.uniform(-1, 1, (60, k + 1, k))
+    w = rng.dirichlet(np.ones(k), 30)
+    simplices[30:, -1] = (np.einsum("mi,mij->mj", w, simplices[30:, :-1])
+                          + rng.uniform(-1e-14, 1e-14, (30, k)))
+    signs, _ = _orient_signs(simplices)
+    assert signs.tolist() == [int(orient(s)) for s in simplices]
 
 
 def test_insphere_many_matches_scalar(rng):

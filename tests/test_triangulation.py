@@ -19,8 +19,14 @@ from delo import (
 )
 from delo.oracle import bruteforce_simplices, delaunay_bruteforce
 from delo.simulation import SimulationConfig, sample_shell
-from delo.geometry import Sign, in_sphere, orient
-from delo.triangulation import _HullBuilder, _certify, _check, _flip_to_delaunay
+from delo.geometry import Sign, _lifted_planes, _plane_insphere_signs, in_sphere, orient
+from delo.triangulation import (
+    _HullBuilder,
+    _certify,
+    _check,
+    _flip_to_delaunay,
+    _sorted_rows,
+)
 
 from conftest import random_pointset
 
@@ -468,6 +474,101 @@ def test_builder_refuses_tick_grids_with_exact_cospherical_subset(shape):
     simplex = next(j for j in range(k + 2)
                    if orient(np.delete(sub, j, axis=0)) is not Sign.ZERO)
     assert in_sphere(np.delete(sub, simplex, axis=0), sub[simplex]) is Sign.ZERO
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (3, 3, 3), (2, 2, 2, 2)], ids=["2d", "3d", "4d"])
+@pytest.mark.parametrize("jitter", [1e-9, 1e-11, 1e-13, 1e-15])
+def test_certificate_insphere_signs_equal_in_sphere_on_tick_grids(shape, jitter):
+    # near-cospherical and (at 1e-15) exactly cospherical cells: the sign
+    # from a cell's lifted hyperplane equals in_sphere's at every interior
+    # ridge of Qhull's proposal, both ways, zeros included
+    qhull_delaunay, _ = triangulation._qhull()
+    for seed in range(3):
+        pts = _near_tick_grid(shape, jitter, seed)
+        cells = np.sort(qhull_delaunay(pts).simplices, axis=1)
+        h, sigma, _ = _lifted_planes(pts[cells])
+        assert sigma.tolist() == [int(orient(pts[c])) for c in cells]
+        at = {}
+        for i, c in enumerate(cells.tolist()):
+            for j in range(len(c)):
+                at.setdefault(tuple(c[:j] + c[j + 1:]), []).append((i, c[j]))
+        pairs = [(i, w) for both in at.values() if len(both) == 2
+                 for (i, _), (_, w) in (both, both[::-1]) if sigma[i]]
+        which = np.array([i for i, _ in pairs])
+        signs, _ = _plane_insphere_signs(pts[cells], h, sigma, which,
+                                         pts[[w for _, w in pairs]])
+        assert signs.tolist() == [int(in_sphere(pts[cells[i]], pts[w])) for i, w in pairs]
+
+
+def test_certificate_and_brute_force_need_no_lu_determinant(monkeypatch):
+    # both take their signs from the cofactor kernel and exact integers
+    ps = random_pointset(12, 30, 3)
+    cells = triangulation._qhull()[0](ps.coords).simplices
+
+    def no_det(*args, **kwargs):
+        raise AssertionError("np.linalg.det called")
+
+    monkeypatch.setattr(np.linalg, "det", no_det)
+    assert _certify(ps.coords, cells) is not None
+    assert bruteforce_simplices(ps)
+
+
+def _flat_hull_edge(n, seed):
+    # uniform points in the unit square, and five on the hull edge y = -1 of
+    # which three are not hull vertices
+    pts = np.random.default_rng(seed).uniform(0, 1, (n, 2))
+    return np.vstack([pts, [(x, -1.0) for x in (0.0, 0.25, 0.5, 0.75, 1.0)]])
+
+
+def _point_in_hull_face(n, seed):
+    # uniform points in the unit cube under the hull face z = -1, a triangle
+    # with a fourth point inside it
+    pts = np.random.default_rng(seed).uniform(0, 1, (n, 3))
+    return np.vstack([pts, [(0, 0, -1), (2, 0, -1), (0, 2, -1), (0.5, 0.5, -1)]])
+
+
+def test_points_on_hull_edge_stay_on_qhull():
+    # collinear hull points used to make a convexity sign zero, and the
+    # builder took about 1 s here instead of Qhull's 0.03 s
+    ps = PointSet(_flat_hull_edge(2000, 0))
+    g = delaunay(ps)
+    assert g.stats.backend == "qhull"
+    assert g.simplices == _builder_simplices(ps)
+
+
+@pytest.mark.parametrize("make, n", [(_flat_hull_edge, 30), (_point_in_hull_face, 30)],
+                         ids=["2d-hull-edge", "3d-hull-face"])
+def test_flat_hull_boundary_matches_builder_and_brute_force(make, n):
+    for seed in range(3):
+        pts = make(n, seed)
+        g = delaunay(pts)
+        assert g.stats.backend == "qhull"
+        assert g.simplices == _builder_simplices(PointSet(pts))
+        assert g.cells.tolist() == sorted(map(list, bruteforce_simplices(pts)))
+
+
+def test_subnormal_squared_distances_keep_the_triangulation():
+    # squared distances near 1e-320 are subnormal: every in-sphere sign
+    # falls to exact arithmetic, and the edges stay those of the unscaled set
+    pts = np.random.default_rng(8).uniform(-1, 1, (12, 2))
+    tiny = pts * 1e-160
+    g = delaunay(tiny)
+    assert g.stats.exact_fallbacks > 0
+    assert g.edge_set() == delaunay(pts).edge_set() == delaunay_bruteforce(tiny)
+
+
+@pytest.mark.parametrize("n", [2, 300, 2 ** 12, 2 ** 20, 2 ** 40],
+                         ids=["1-word", "1-word-9-bits", "2-words", "3-words", "7-words"])
+def test_packed_row_order_equals_lexsort(n):
+    # rows of k + 1 = 7 columns, as cells at k = 6; the values 0 and n - 1
+    # use every bit of a column, and repeats tie leading columns
+    rng = np.random.default_rng(n % 997)
+    values = np.unique([0, 1, n // 2, max(n - 2, 0), n - 1])
+    rows = values[rng.integers(0, len(values), (400, 7))]
+    order, same = _sorted_rows(rows, n)
+    want = rows[np.lexsort(rows.T[::-1])]
+    assert np.array_equal(rows[order], want)
+    assert np.array_equal(same, (want[1:] == want[:-1]).all(axis=1))
 
 
 def test_builder_fallback_when_qhull_raises(monkeypatch):
