@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Compare the benchmark on a parent commit and on the working tree.
 
-    python scripts/bench_pair.py --parent HEAD --workloads shell_d4,score_csv_2d \\
-        --seeds 1,2,3,4,5,6,7,8,9,10 --output BENCH_10.json
+    python scripts/bench_pair.py --parent HEAD --seeds 1,2,3,4,5,6,7,8,9,10 \\
+        --output BENCH_10.json
 
 The parent commit's files are exported with ``git archive`` into a temporary
 directory, as the benchmark compares committed trees; the working tree is
-the change. Each seed makes one pair per workload: ``perfbench/run.py
---trace 0`` runs once on each side, the side that runs first alternating
-from pair to pair, each side with its own ``perfbench`` and ``src``. The
-output file holds, per workload and end-to-end metric, both sides' runs,
-medians and quartiles, the ratio of the medians, how many pairs the change
-won (ties count for neither), whether every run was correct, and the
-provenance of every run. Run it on an otherwise idle machine: it takes about
-2 x seeds x workloads x seconds.
+the change. Each seed makes one pair on every workload of ``BENCHMARK.json``,
+so no workload's regression is left out: ``perfbench/run.py --trace 0``
+runs once on each side for the benchmark's ``run_seconds``, the side that
+runs first alternating from pair to pair, each side with its own
+``perfbench`` and ``src``. The output file holds, per workload and
+end-to-end metric, both sides' runs, medians and quartiles, the ratio of
+the medians, how many pairs the change won (ties count for neither),
+whether every run was correct, and the provenance of every run. Run it on
+an otherwise idle machine: it takes about 2 x seeds x workloads x
+run_seconds.
 """
 
 from __future__ import annotations
@@ -62,15 +64,12 @@ def summarize(runs: dict[str, list[dict]], declared: list[dict]) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD", help="commit to compare against")
-    ap.add_argument("--workloads", required=True, help="comma-separated workload names")
     ap.add_argument("--seeds", required=True, help="comma-separated seeds, one pair each")
-    ap.add_argument("--seconds", type=int, default=None,
-                    help="seconds per run (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("--output", required=True, type=Path)
     args = ap.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
     seeds = [int(s) for s in args.seeds.split(",")]
     parent = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent],
                             capture_output=True, text=True, check=True).stdout.strip()
@@ -87,7 +86,7 @@ def main(argv=None) -> int:
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         trees = {"parent": Path(tmp), "change": ROOT}
-        for workload in args.workloads.split(","):
+        for workload in (w["name"] for w in benchmark["workloads"]):
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             for i, seed in enumerate(seeds):
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):

@@ -312,6 +312,57 @@ def test_certificate_rejects_separately_triangulated_clusters():
     assert _certify(pts, [(0, 1, 2), (3, 4, 5)]) is None
 
 
+def _slit_cells(k):
+    """Points and cells covering a convex hull once, but cut along a slit.
+
+    The slit lies in x_k = 0: the cells above it and those below it meet it
+    in different boundary ridges, so the boundary folds back on itself there
+    and every convexity sign at the slit is zero. In 2-D the slit runs along
+    the collinear vertices (0, 0), (1, 0), (2, 0), one edge above and two
+    below; in 3-D it is a convex quadrilateral, cut by one diagonal above
+    and by the other below. The annulus around the slit and the two apexes make the
+    rest of a double pyramid.
+    """
+    if k == 2:
+        plane = np.array([(-1,), (0,), (1,), (2,), (3,)], dtype=float)
+        around = [(0, 1), (3, 4)]
+        above, below = [(1, 3)], [(1, 2), (2, 3)]
+    else:
+        plane = np.array([(0, 0), (1, 0), (1.1, 1.2), (0, 1),
+                          (-1, -1.3), (2.2, -1), (2.1, 2.3), (-1.2, 2)])
+        around = [f for i in range(4) for f in ((4 + i, 4 + (i + 1) % 4, i),
+                                                (4 + (i + 1) % 4, (i + 1) % 4, i))]
+        above, below = [(0, 1, 2), (0, 2, 3)], [(0, 1, 3), (1, 2, 3)]
+    m = len(plane)
+    apexes = np.c_[np.tile(plane.mean(axis=0), (2, 1)), [1.0, -1.0]]
+    pts = np.vstack([np.c_[plane, np.zeros(m)], apexes])
+    cells = ([f + (m,) for f in around + above] + [f + (m + 1,) for f in around + below])
+    return pts, cells
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_certificate_rejects_boundary_folded_over_a_slit(monkeypatch, k):
+    # every check up to (d) passes, (d) only on zero signs; the covered point
+    # cannot lie strictly above and strictly below the slit's plane, so the
+    # boundary sides of (e) refuse the cells before any in-sphere sign
+    pts, cells = _slit_cells(k)
+    signs, insphere = [], []
+
+    def plane_orient(*args):
+        out = plane_orient_signs(*args)
+        signs.append(out[0])
+        return out
+
+    plane_orient_signs = triangulation._plane_orient_signs
+    monkeypatch.setattr(triangulation, "_plane_orient_signs", plane_orient)
+    monkeypatch.setattr(triangulation, "_plane_insphere_signs",
+                        lambda *args: insphere.append(args))
+    assert _certify(pts, cells) is None
+    convex, _ = signs  # (d)'s signs, then (e)'s boundary sides
+    assert (convex == 0).any()
+    assert not insphere
+
+
 def _interior_ridges(cells):
     seen = {}
     for c in cells:
