@@ -1,10 +1,13 @@
 """Point sets and exact geometric predicates.
 
-Predicates (orientation, in-sphere) are evaluated with a floating-point
-filter first: determinants are computed on row-scaled matrices and accepted
-only when they clear a conservative forward error bound. Inconclusive cases
-fall back to exact integer arithmetic over the rational values of the input
-floats, so every returned sign is the true sign.
+Every sign (orientation, in-sphere, affine independence) comes from one
+determinant kernel. A group of points gives one hyperplane: the cofactors,
+by a Laplace expansion, of its difference rows p_i - p_0, with |p_i - p_0|^2
+appended for the paraboloid lift; a query's sign is then one dot product
+with its own row. In floating point, on rows scaled by powers of two, a sign
+is accepted when the dot product clears a derived forward error bound.
+Otherwise the same expansion runs on the input floats as exact integers, so
+every returned sign is the true sign.
 """
 
 from __future__ import annotations
@@ -13,9 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -101,7 +102,8 @@ class PointSet:
 
 
 # ---------------------------------------------------------------------------
-# determinant kernels: row-scaled float filters + exact integer fallback
+# one determinant kernel: hyperplanes from cofactors, a float filter, and the
+# same expansion on exact integers
 # ---------------------------------------------------------------------------
 
 def _unit_rows(mats: np.ndarray) -> np.ndarray:
@@ -112,30 +114,8 @@ def _unit_rows(mats: np.ndarray) -> np.ndarray:
     maximum, which round by less than 2^-1074 of it.
     """
     # a maximum per column is much faster than a reduction over a short axis
-    _, e = np.frexp(functools.reduce(np.maximum, np.abs(np.moveaxis(mats, -1, 0))))
+    _, e = np.frexp(functools.reduce(np.maximum, np.abs(mats.T)).T)
     return np.ldexp(mats, -e[..., None])
-
-
-def _filter_bound(d: int, entry_ulps) -> np.ndarray | float:
-    # Conservative forward bound for a partial-pivoted LU determinant of a
-    # matrix whose rows were scaled to max-entry < 1, plus the effect of
-    # entry construction error (entry_ulps units of EPS per scaled entry).
-    eval_term = 64.0 * d ** 3 * 2.0 ** (d - 1) * _FACT[d - 1]
-    entry_term = 4.0 * d * d * _FACT[d - 1]
-    return EPS * (eval_term + entry_term * entry_ulps)
-
-
-def _filtered_det_signs(mats: np.ndarray, entry_ulps=1.0):
-    """Signs of determinants of a (m, d, d) batch.
-
-    entry_ulps bounds relative entry construction error (units of EPS per
-    row maximum). Returns (signs, inconclusive): signs are certified except
-    where inconclusive is True, which callers must resolve exactly.
-    """
-    d = mats.shape[1]
-    dets = np.linalg.det(_unit_rows(mats))
-    signs = np.sign(dets).astype(np.int64)
-    return signs, np.abs(dets) <= _filter_bound(d, entry_ulps)
 
 
 @functools.cache
@@ -145,17 +125,18 @@ def _laplace_tables(r: int):
     Level t lists the t-subsets of the columns in combinations order, with
     each subset's columns, the positions one level down of the subsets
     without each of them, and the signs of the expansion along row t-1.
-    last[j] is the position of the r-subset without column j.
+    last[j] is the position of the r-subset without column j. The signs are
+    ints, so that the expansion stays exact on Python ints.
     """
     levels, down = [], {(): 0}
     for t in range(1, r + 1):
         subsets = list(combinations(range(r + 1), t))
         levels.append((np.array(subsets),
                        np.array([[down[s[:p] + s[p + 1:]] for p in range(t)] for s in subsets]),
-                       (-1.0) ** (t - 1 + np.arange(t))))
+                       [(-1) ** (t - 1 + p) for p in range(t)]))
         down = {s: i for i, s in enumerate(subsets)}
     last = [down[tuple(c for c in range(r + 1) if c != j)] for j in range(r + 1)]
-    return levels, np.array(last), (-1.0) ** (r + np.arange(r + 1))
+    return levels, np.array(last), (-1) ** (r + np.arange(r + 1))
 
 
 def _cofactors(rows: np.ndarray) -> np.ndarray:
@@ -163,12 +144,12 @@ def _cofactors(rows: np.ndarray) -> np.ndarray:
 
     h_j is (-1)^(r+j) times the minor without column j, so h . x is the
     determinant of the matrix with x appended as its last row. A Laplace
-    expansion along one row per level, vectorised over the column subsets;
-    for rows with entries at most 1 in magnitude, _cofactor_bound bounds its
-    error.
+    expansion along one row per level, vectorised over the column subsets.
+    On floats with entries at most 1 in magnitude, _cofactor_bound bounds
+    its error; on an object array of Python ints it is exact.
     """
     levels, last, signs = _laplace_tables(rows.shape[1])
-    minors = np.ones((len(rows), 1))
+    minors = np.ones((len(rows), 1), dtype=rows.dtype)
     for t, (cols, down, expand) in enumerate(levels):
         row = rows[:, t]
         minors = sum(e * row[:, c] * minors[:, d] for e, c, d in zip(expand, cols.T, down.T))
@@ -202,64 +183,109 @@ def _cofactor_bound(d: int, entry_ulps: float) -> float:
     return 1.01 * _FACT[d] * EPS * (d * entry_ulps + d * (d + 1) / 2)
 
 
-def _bareiss_sign(m: list[list[int]]) -> int:
-    n = len(m)
-    sign = 1
-    prev = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pivval = m[col][col]
-        for r in range(col + 1, n):
-            row, ref = m[r], m[col]
-            lead = row[col]
-            for c in range(col + 1, n):
-                row[c] = (row[c] * pivval - lead * ref[c]) // prev
-            row[col] = 0
-        prev = pivval
-    return sign if prev > 0 else -sign
-
-
-def _scaled_ints(arr: np.ndarray) -> list:
-    """The floats of arr as exact Python ints, all scaled by one power of
-    two, in nested lists shaped like arr.
+def _scaled_ints(arr: np.ndarray) -> np.ndarray:
+    """The floats of arr as exact Python ints in an object array shaped like
+    arr, all scaled by one power of two.
 
     Differences, products and determinants of the ints have the signs of
-    those of the floats, without the gcd work of Fraction arithmetic.
+    those of the floats, without the gcd work of rational arithmetic.
     """
     mant, e = np.frexp(arr)
     mant = np.ldexp(mant, 53).astype(np.int64)  # exact: 53-bit significands
     nonzero = mant != 0
     low = int(e[nonzero].min()) if nonzero.any() else 0
     shift = np.where(nonzero, e - low, 0)
-    return (mant.astype(object) << shift.astype(object)).tolist()
+    return mant.astype(object) << shift.astype(object)
 
 
-def exact_det_sign(rows: Sequence[Sequence]) -> int:
-    """Exact sign of a determinant with Fraction/int/float entries."""
-    fr = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
-    den = math.lcm(*(x.denominator for row in fr for x in row))
-    ints = [[int(x.numerator * (den // x.denominator)) for x in row] for row in fr]
-    return _bareiss_sign(ints)
+def _rows(pts: np.ndarray, base: np.ndarray, lift: bool) -> np.ndarray:
+    """The rows p - b of an (m, r, k) batch of points p against (m, k) bases
+    b, each followed by |p - b|^2 if lift; floats and exact ints alike."""
+    diffs = pts - base[:, None]
+    if not lift:
+        return diffs
+    return np.concatenate([diffs, np.einsum("mij,mij->mi", diffs, diffs)[..., None]], axis=2)
+
+
+def _planes(pts: np.ndarray) -> np.ndarray:
+    """One hyperplane per group of an (m, g, k) batch of points, g = k or
+    k + 1: the _cofactors h of the rows p_i - p_0, i = 1..g-1, each scaled
+    by a power of two, with |p_i - p_0|^2 appended when g = k + 1.
+
+    For a query q and its row x against p_0, built alike, h . x has the sign
+    of the orientation of (p_0, ..., p_(g-1), q): in R^k when g = k, and of
+    the points lifted to the paraboloid in R^(k+1) when g = k + 1. In the
+    lifted case h_k is the orientation determinant of the group itself, and
+    q is strictly inside its circumsphere iff h . x and h_k have opposite
+    signs (lifted q lies below the plane, and a point far above lies on the
+    side h_k).
+    """
+    k = pts.shape[2]
+    return _cofactors(_unit_rows(_rows(pts[:, 1:], pts[:, 0], pts.shape[1] > k)))
+
+
+def _exact_plane_signs(pts: np.ndarray, which: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The exact signs of _plane_signs: the same rows and the same expansion
+    on the input floats as exact ints (_scaled_ints, one scale for groups
+    and queries), one plane per group used, then one integer dot product
+    per query."""
+    used, inv = np.unique(which, return_inverse=True)
+    m, g, k = len(used), pts.shape[1], pts.shape[2]
+    ints = _scaled_ints(np.concatenate([pts[used].reshape(-1, k), queries]))
+    groups = ints[:m * g].reshape(m, g, k)
+    h = _cofactors(_rows(groups[:, 1:], groups[:, 0], g > k))
+    x = _rows(ints[m * g:, None], groups[inv, 0], g > k)[:, 0]
+    return np.sign((h[inv] * x).sum(axis=1)).astype(np.int64)
+
+
+def _plane_signs(pts: np.ndarray, h: np.ndarray, which: np.ndarray,
+                 queries: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact signs of h[which[i]] . x_i, for the _planes h of the groups pts
+    and x_i the row of queries[i] against pts[which[i], 0], built alike: one
+    float dot product per query, and _exact_plane_signs where it is within
+    _cofactor_bound. Also returns how many signs went to exact arithmetic.
+    """
+    k = queries.shape[1]
+    lift = pts.shape[1] > k
+    x = _unit_rows(_rows(queries[:, None], pts[which, 0], lift))[:, 0]
+    dots = np.einsum("ij,ij->i", h[which], x)
+    signs = np.sign(dots).astype(np.int64)
+    # entries are within 1 EPS of the row maximum for differences, and within
+    # 2 (k + 3) EPS for lifted rows: about k + 3 roundings for |p - q|^2, doubled
+    unsure = np.abs(dots) <= _cofactor_bound(h.shape[1], 2.0 * (k + 3) if lift else 1.0)
+    if unsure.any():
+        signs[unsure] = _exact_plane_signs(pts, which[unsure], queries[unsure])
+    return signs, int(unsure.sum())
 
 
 # ---------------------------------------------------------------------------
 # predicates
 # ---------------------------------------------------------------------------
 
-def _as_points(points, expect: int | None = None) -> np.ndarray:
+def _as_points(points) -> np.ndarray:
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim != 2:
         raise GeometryError(f"expected a sequence of points, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise GeometryError("non-finite coordinate in predicate input")
-    if expect is not None and arr.shape[0] != expect:
-        raise GeometryError(f"expected {expect} points, got {arr.shape[0]}")
     return arr
+
+
+def _plane_orient_signs(faces: np.ndarray, h: np.ndarray, which: np.ndarray,
+                        queries: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact orientation signs of (queries[i], *faces[which[i]]) for an
+    (m, k, k) batch of faces with hyperplanes h from _planes, and how many
+    of them went to exact arithmetic."""
+    signs, exact = _plane_signs(faces, h, which, queries)
+    # the query row comes last in the dot product: k swaps move it first
+    return signs * (-1) ** faces.shape[2], exact
+
+
+def _orient_signs(simplices: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact orientation signs of an (m, k+1, k) batch of simplices, and how
+    many of them went to exact arithmetic."""
+    faces = simplices[:, 1:]
+    return _plane_orient_signs(faces, _planes(faces), np.arange(len(faces)), simplices[:, 0])
 
 
 def orient(simplex) -> Sign:
@@ -271,102 +297,23 @@ def orient(simplex) -> Sign:
     k = pts.shape[1]
     if pts.shape[0] != k + 1:
         raise GeometryError(f"orientation in R^{k} needs {k + 1} points, got {pts.shape[0]}")
-    mat = (pts[1:] - pts[0])[None, :, :]
-    signs, bad = _filtered_det_signs(mat)
-    if not bad[0]:
-        return Sign(int(signs[0]))
-    return Sign(_exact_orient_signs(pts[None])[0])
-
-
-def _exact_orient_signs(simplices: np.ndarray) -> list[int]:
-    """Exact orientation signs of an (m, k+1, k) batch of simplices."""
-    return [_bareiss_sign([[a - b for a, b in zip(row, base)] for row in rest])
-            for base, *rest in _scaled_ints(simplices)]
-
-
-def _face_planes(faces: np.ndarray) -> np.ndarray:
-    """One hyperplane per face of an (m, k, k) batch, k points each: the
-    _cofactors of the rows f_j - f_0, j = 1..k-1, each scaled by a power of
-    two, for _plane_orient_signs."""
-    return _cofactors(_unit_rows(faces[:, 1:] - faces[:, :1]))
-
-
-def _plane_orient_signs(faces: np.ndarray, h: np.ndarray, which: np.ndarray,
-                        queries: np.ndarray) -> tuple[np.ndarray, int]:
-    """Exact orientation signs of (queries[i], *faces[which[i]]) for an
-    (m, k, k) batch of faces with hyperplanes h from _face_planes, one dot
-    product per query, and how many of them the float filter left to exact
-    arithmetic."""
-    k = queries.shape[1]
-    dots = np.einsum("ij,ij->i", h[which], _unit_rows(queries - faces[which, 0]))
-    # the query row comes last in the dot product: k swaps move it first
-    signs = np.sign(dots).astype(np.int64) * (-1) ** k
-    unsure = np.abs(dots) <= _cofactor_bound(k, 1.0)  # differences: within 1 EPS
-    if unsure.any():
-        signs[unsure] = _exact_orient_signs(
-            np.concatenate([queries[unsure][:, None], faces[which[unsure]]], axis=1))
-    return signs, int(unsure.sum())
-
-
-def _orient_signs(simplices: np.ndarray) -> tuple[np.ndarray, int]:
-    """Exact orientation signs of an (m, k+1, k) batch of simplices, and how
-    many of them the float filter left to exact arithmetic."""
-    faces = simplices[:, 1:]
-    return _plane_orient_signs(faces, _face_planes(faces), np.arange(len(faces)),
-                               simplices[:, 0])
-
-
-def _insphere_mats(pts: np.ndarray, queries: np.ndarray):
-    # rows i: (p_i - q, |p_i - q|^2); one (k+1)x(k+1) matrix per query. pts is
-    # one simplex (k+1, k) shared by every query, or one simplex per query
-    # (m, k+1, k). Entries are within 2 (k + 3) EPS of the row maximum: one
-    # rounding per difference, about k + 3 for |p - q|^2, doubled for safety
-    diffs = pts - queries[:, None, :]
-    norms = np.einsum("mij,mij->mi", diffs, diffs)
-    return np.concatenate([diffs, norms[:, :, None]], axis=2)
-
-
-def _exact_insphere_signs(simplices: np.ndarray, queries: np.ndarray) -> list[int]:
-    """Exact signs of the _insphere_mats determinants of an (m, k+1, k)
-    batch of simplices, one query each."""
-    signs = []
-    for *rows, top in _scaled_ints(np.concatenate([simplices, queries[:, None]], axis=1)):
-        mat = []
-        for row in rows:
-            d = [a - b for a, b in zip(row, top)]
-            mat.append(d + [sum(x * x for x in d)])
-        signs.append(_bareiss_sign(mat))
-    return signs
-
-
-def _insphere_det_signs(pts: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, int]:
-    """Exact signs of the _insphere_mats determinants, and how many of them
-    the float filter left to exact arithmetic."""
-    k = queries.shape[1]
-    mats = _insphere_mats(pts, queries)
-    signs, bad = _filtered_det_signs(mats, entry_ulps=2.0 * (k + 3))
-    if bad.any():
-        simplices = np.broadcast_to(pts, (len(mats), k + 1, k))
-        signs[bad] = _exact_insphere_signs(simplices[bad], queries[bad])
-    return signs, int(bad.sum())
+    return Sign(int(_orient_signs(pts[None])[0][0]))
 
 
 def _lifted_planes(simplices: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """One lifted hyperplane per simplex of an (m, k+1, k) batch.
-
-    h holds the _cofactors of the rows (v_i - v_0, |v_i - v_0|^2), i = 1..k,
-    each scaled by a power of two. For a query q, h . (q - v_0, |q - v_0|^2)
-    then has the sign of the lifted orientation of (v_0, ..., v_k, q), which
-    is (-1)^(k+1) times the _insphere_mats determinant, and h_k that of the
-    orientation determinant. Returns h, the exact orientation signs and how
-    many of them the float filter left to exact arithmetic.
+    """One lifted hyperplane h per simplex of an (m, k+1, k) batch (_planes),
+    with the exact orientation signs: those of h_k, or where h_k is within
+    the bound, the exact sign. Returns h, the signs and how many of them
+    went to exact arithmetic.
     """
     k = simplices.shape[2]
-    h = _cofactors(_unit_rows(_insphere_mats(simplices[:, 1:], simplices[:, 0])))
+    h = _planes(simplices)
     signs = np.sign(h[:, k]).astype(np.int64)
     unsure = np.abs(h[:, k]) <= _cofactor_bound(k + 1, 2.0 * (k + 3))
     if unsure.any():
-        signs[unsure] = _exact_orient_signs(simplices[unsure])
+        rest = simplices[unsure]
+        signs[unsure] = _exact_plane_signs(rest[:, 1:], np.arange(len(rest)),
+                                           rest[:, 0]) * (-1) ** k
     return h, signs, int(unsure.sum())
 
 
@@ -375,19 +322,10 @@ def _plane_insphere_signs(simplices: np.ndarray, h: np.ndarray, orients: np.ndar
     """Position of queries[i] relative to the circumsphere of
     simplices[which[i]] (1 strictly inside, 0 on, -1 outside), from the
     simplices' _lifted_planes h and orientation signs: one dot product per
-    query, resolved exactly where it is within the bound. Returns the signs
-    and how many of them the float filter left to exact arithmetic.
+    query. Also returns how many signs went to exact arithmetic.
     """
-    k = queries.shape[1]
-    lifted = _unit_rows(_insphere_mats(queries[:, None], simplices[which, 0]))[:, 0]
-    dots = np.einsum("ij,ij->i", h[which], lifted)
-    signs = np.sign(dots).astype(np.int64)
-    unsure = np.abs(dots) <= _cofactor_bound(k + 1, 2.0 * (k + 3))
-    if unsure.any():
-        exact = _exact_insphere_signs(simplices[which[unsure]], queries[unsure])
-        signs[unsure] = np.multiply(exact, (-1) ** (k + 1))
-    # in_sphere is (-1)^k * orientation * _insphere_mats det (in_sphere_many)
-    return -signs * orients[which], int(unsure.sum())
+    signs, exact = _plane_signs(simplices, h, which, queries)
+    return -signs * orients[which], exact
 
 
 def in_sphere_many(simplex, queries) -> np.ndarray:
@@ -395,7 +333,8 @@ def in_sphere_many(simplex, queries) -> np.ndarray:
 
     Returns an (m,) int64 array: 1 strictly inside, 0 on the sphere, -1
     strictly outside, independent of the order in which the simplex points
-    are given. queries must be an (m, k) array of finite points.
+    are given. queries must be an (m, k) array of finite points. Points
+    whose squared distances overflow a float raise OverflowError.
     """
     pts = _as_points(simplex)
     k = pts.shape[1]
@@ -404,13 +343,13 @@ def in_sphere_many(simplex, queries) -> np.ndarray:
     qs = _as_points(queries)
     if qs.shape[1] != k:
         raise GeometryError("query dimension does not match the simplex")
-    s_or = orient(pts)
-    if s_or is Sign.ZERO:
+    with np.errstate(over="ignore"):
+        if not np.isfinite(4.0 * k * max(np.abs(pts).max(), np.abs(qs).max(initial=0)) ** 2):
+            raise OverflowError("squared distances between the points overflow a float")
+    h, orients, _ = _lifted_planes(pts[None])
+    if not orients[0]:
         raise DegenerateSimplexError("in_sphere needs an affinely independent simplex")
-    signs, _ = _insphere_det_signs(pts, qs)
-    # parity: the translated determinant equals the homogeneous one up to
-    # the k row swaps that move the query row into place
-    return signs * (int(s_or) * (-1 if k % 2 else 1))
+    return _plane_insphere_signs(pts[None], h, orients, np.zeros(len(qs), dtype=np.int64), qs)[0]
 
 
 def in_sphere(simplex, query) -> Sign:
@@ -456,18 +395,16 @@ class GeneralPositionReport:
 def is_affinely_independent(pts) -> bool:
     """Exact affine-independence test for up to k+1 points in R^k.
 
-    The j difference rows have rank j iff j <= k and some j x j column minor
-    is nonsingular.
+    The difference rows D are independent iff the Gram determinant
+    det(D D^T) is nonzero, expanded by _cofactors over exact ints.
     """
     arr = _as_points(pts)
     if len(arr) <= 1:
         return True
-    j, k = len(arr) - 1, arr.shape[1]
-    base = [Fraction(c) for c in arr[0]]
-    rows = [[Fraction(c) - b for c, b in zip(row, base)] for row in arr[1:]]
-    return j <= k and any(
-        exact_det_sign([[row[c] for c in cols] for row in rows]) != 0
-        for cols in combinations(range(k), j))
+    ints = _scaled_ints(arr)
+    diffs = ints[1:] - ints[0]
+    gram = diffs @ diffs.T
+    return bool(_cofactors(gram[None, 1:])[0] @ gram[0] != 0)
 
 
 def affinely_independent_subset(coords) -> list[int]:

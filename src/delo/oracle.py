@@ -3,10 +3,10 @@
 Two routes that must agree with the triangulation. Exhaustive
 empty-circumsphere enumeration over all (k+1)-subsets lifts each subset to
 one hyperplane and tests every sample point with a dot product; a sign
-within the forward error bound is decided in exact arithmetic, so every
-sign is the true one. It shares that kernel (geometry._lifted_planes, with
-its cofactor expansion and bound) and the exact predicates with the
-triangulation's certificate, but not the enumeration: it never sees the
+within the forward error bound is decided by the same expansion on exact
+integers, one exact hyperplane per subset, so every sign is the true one.
+It shares that kernel (geometry._lifted_planes and _exact_plane_signs) with
+the triangulation's certificate, but not the enumeration: it never sees the
 cells it is compared with. A linear-program feasibility test decides a
 single pair (is there a point equidistant from both that no other sample
 point beats?); it shares nothing with the other two. Sizes are guarded;
@@ -26,7 +26,7 @@ from .geometry import (
     GeometryError,
     PointSet,
     _cofactor_bound,
-    _exact_insphere_signs,
+    _exact_plane_signs,
     _lifted_planes,
     _unit_rows,
     distance,
@@ -74,16 +74,15 @@ def bruteforce_simplices(points) -> list[tuple[int, ...]]:
     block = max(1, 2 ** 17 // n)
     for start in range(0, len(subsets), block):
         sub = subsets[start:start + block]
-        h, orients, _ = _lifted_planes(coords[sub])
+        pts = coords[sub]
+        h, orients, _ = _lifted_planes(pts)
         dets = np.einsum("bj,bqj->bq", h, lifted[sub[:, 0]])
         inside = -np.sign(dets).astype(np.int64) * orients[:, None]
         skip = np.zeros(dets.shape, dtype=bool)  # members, and every q of a flat subset
         np.put_along_axis(skip, sub, True, axis=1)
         skip[orients == 0] = True
         r, q = np.nonzero((np.abs(dets) <= bound) & ~skip)
-        # the exact determinant has rows (p_i - q, |p_i - q|^2): sign (-1)^(k+1) D
-        exact = np.array(_exact_insphere_signs(coords[sub[r]], coords[q]), dtype=np.int64)
-        inside[r, q] = exact * orients[r] * (-1) ** k
+        inside[r, q] = -_exact_plane_signs(pts, r, coords[q]) * orients[r]
         inside[skip] = -1
         zeros = np.argwhere(inside == 0)
         if len(zeros):

@@ -15,12 +15,13 @@ Otherwise -- k = 1, Qhull failing, or any check failing or meeting a zero
 sign where it needs a strict one -- the points are lifted to the paraboloid
 in R^(k+1), the incremental beneath-beyond algorithm with conflict lists
 builds their convex hull, and the downward-facing facets project back to
-the Delaunay cells. Every visibility decision is the exact sign of an
-in-sphere determinant, from the predicate in_sphere and the flips use (float
-filter with exact integer fallback), so the output is the true
-triangulation whenever the input is in general position; degeneracies
-encountered along the way are reported as errors naming the offending
-subset.
+the Delaunay cells. Every visibility decision is the exact side of a lifted
+point relative to a facet's lifted hyperplane, one hyperplane per facet from
+the kernel the certificate, the flips and the predicates share
+(geometry._planes: cofactors, a float filter, and the same expansion on
+exact integers), so the output is the true triangulation whenever the input
+is in general position; degeneracies encountered along the way are reported
+as errors naming the offending subset.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ from .geometry import (
     GeometryError,
     PointSet,
     Sign,
-    _face_planes,
-    _insphere_det_signs,
     _lifted_planes,
     _orient_signs,
     _plane_insphere_signs,
     _plane_orient_signs,
+    _plane_signs,
+    _planes,
     affinely_independent_subset,
     in_sphere,
     is_affinely_independent,
@@ -58,7 +59,7 @@ class BuildStats:
     certified cells and exact_fallbacks the signs the certificate resolved
     exactly, summed over both runs where flips were needed. It is
     "incremental" for the exact builder, where they count the hull facets
-    created and the in-sphere signs it resolved exactly, and for sets of at
+    created and the side signs it resolved exactly, and for sets of at
     most k+1 points, which need no hull.
     """
 
@@ -138,24 +139,29 @@ class _HullBuilder:
     """Incremental convex hull of the points lifted to the paraboloid in R^(k+1).
 
     The side of a facet's lifted hyperplane that a lifted point q lies on is
-    the in-sphere determinant sign of the facet's k+1 points (in verts
-    order) and q: the lifted orientation det([L_v - L_v0; ...; L_q - L_v0])
-    times (-1)^(k+1). q sees the facet iff its side is -ref.
+    the lifted orientation of the facet's k+1 points (in verts order) and q,
+    det([L_v - L_v0; ...; L_q - L_v0]): one dot product with the facet's
+    hyperplane, computed once per facet (geometry._planes). q sees the facet
+    iff its side is -ref.
     """
 
     def __init__(self, ps: PointSet, insertion_seed: int):
         self.coords = ps.coords
         self.k = ps.dim
         self.n = ps.n
-        self.facets: set[_Facet] = set()
-        self.point_conflicts: dict[int, set[_Facet]] = {}
+        # facets hash by identity, so every container whose order can decide
+        # a refusal is an insertion-ordered dict, never a set
+        self.facets: dict[_Facet, None] = {}
+        self.point_conflicts: dict[int, dict[_Facet, None]] = {}
         self.fallbacks = 0
         self.created = 0
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(insertion_seed)))
         self.order = [int(i) for i in rng.permutation(self.n)]
 
-    def _sides(self, pts: np.ndarray, queries: list[int]) -> np.ndarray:
-        signs, exact = _insphere_det_signs(pts, self.coords[queries])
+    def _sides(self, verts: np.ndarray, which: np.ndarray, queries: list[int]) -> np.ndarray:
+        """The side of the facet verts[which[i]] that point queries[i] lies on."""
+        pts = self.coords[verts]
+        signs, exact = _plane_signs(pts, _planes(pts), which, self.coords[queries])
         self.fallbacks += exact
         return signs
 
@@ -174,16 +180,15 @@ class _HullBuilder:
         if not sum(counts):
             return
         flat = [q for block in candidates for q in block]
-        verts = np.array([f.verts for f in facets])
-        signs = self._sides(np.repeat(self.coords[verts], counts, axis=0), flat)
         owner = np.repeat(np.arange(len(facets)), counts)
+        signs = self._sides(np.array([f.verts for f in facets]), owner, flat)
         for i, q, s in zip(owner.tolist(), flat, signs.tolist()):
             f = facets[i]
             if s == 0:
                 self._zero_conflict(f, q)
             elif s == -f.ref:
                 f.conflicts.add(q)
-                self.point_conflicts[q].add(f)
+                self.point_conflicts[q][f] = None
 
     def _new_facet(self, verts: tuple[int, ...], ref: int) -> _Facet:
         self.created += 1
@@ -199,7 +204,8 @@ class _HullBuilder:
                 "points do not span the ambient space")
         chosen = set(base)
         rest = [i for i in self.order if i not in chosen]
-        off = np.flatnonzero(self._sides(self.coords[base], rest))
+        off = np.flatnonzero(self._sides(np.array([base]), np.zeros(len(rest), dtype=np.int64),
+                                         rest))
         if not len(off):
             subset = tuple(sorted(base + rest[:1]))
             raise GeneralPositionError(
@@ -213,17 +219,17 @@ class _HullBuilder:
         # initial facets: all (k+1)-subsets of the initial simplex; the hull
         # lies on the side of the vertex each one omits
         init = [tuple(sorted(v for v in simplex if v != w)) for w in simplex]
-        refs = self._sides(self.coords[np.array(init)], simplex)
+        refs = self._sides(np.array(init), np.arange(len(init)), simplex)
         init_facets = [self._new_facet(verts, r) for verts, r in zip(init, refs.tolist())]
         for fa, fb in combinations(init_facets, 2):
             ridge = tuple(sorted(set(fa.verts) & set(fb.verts)))
             fa.neighbors[ridge] = fb
             fb.neighbors[ridge] = fa
-        self.facets.update(init_facets)
+        self.facets.update(dict.fromkeys(init_facets))
 
         in_simplex = set(simplex)
         pending = [i for i in self.order if i not in in_simplex]
-        self.point_conflicts = {q: set() for q in pending}
+        self.point_conflicts = {q: {} for q in pending}
         self._assign(init_facets, [pending] * len(init_facets))
 
         for p in pending:
@@ -251,7 +257,7 @@ class _HullBuilder:
             verts = tuple(sorted(ridge + (p,)))
             # nf's verts plus the apex of f_vis are f_vis's verts plus p,
             # reordered, and the apex lies on the hull's side of nf while p
-            # lies on the far side of f_vis: the two in-sphere determinants
+            # lies on the far side of f_vis: the two lifted orientations
             # differ by the parity of the reordering (verts are sorted)
             (apex,) = set(f_vis.verts) - set(ridge)
             swaps = sum(v > apex for v in verts) + sum(v > p for v in f_vis.verts)
@@ -281,18 +287,17 @@ class _HullBuilder:
         for f in visible:
             for q in f.conflicts:
                 if q in self.point_conflicts:
-                    self.point_conflicts[q].discard(f)
-            self.facets.discard(f)
-        self.facets.update(new_facets)
+                    self.point_conflicts[q].pop(f, None)
+            self.facets.pop(f, None)
+        self.facets.update(dict.fromkeys(new_facets))
 
     def _lower_simplices(self) -> list[tuple[int, ...]]:
         """Facets whose outward normal points downward project to Delaunay
         cells. The hull lies above them, and a point far above a facet lies
-        on the side (-1)^(k+1) times its projected orientation."""
+        on the side of its projected orientation."""
         facets = list(self.facets)
         signs, _ = _orient_signs(self.coords[np.array([f.verts for f in facets])])
-        up = (-1) ** (self.k + 1)
-        lower = [f.verts for f, s in zip(facets, signs.tolist()) if s == up * f.ref]
+        lower = [f.verts for f, s in zip(facets, signs.tolist()) if s == f.ref]
         covered = {v for verts in lower for v in verts}
         if len(covered) != self.n:
             missing = sorted(set(range(self.n)) - covered)
@@ -430,7 +435,7 @@ def _check(coords: np.ndarray, cells) -> tuple[np.ndarray, int, list] | None:
     # other or on its hyperplane. One hyperplane per boundary ridge serves
     # these signs and the covered point's.
     walls = coords[ridges[bnd]]
-    planes = _face_planes(walls)
+    planes = _planes(walls)
     faces, dropped = _faces(ridges[bnd])
     order, same = _sorted_rows(faces, n)
     if len(order) % 2 or not same[0::2].all() or same[1::2].any():
@@ -538,7 +543,7 @@ def _flip_to_delaunay(coords: np.ndarray, cells: np.ndarray,
         for w in verts:
             load(w)
         circuit = faces(verts)
-        lam = [(-1) ** i * int(orient(coords[list(c)])) for i, c in enumerate(circuit)]
+        lam = (_orient_signs(coords[np.array(circuit)])[0] * (-1) ** np.arange(k + 2)).tolist()
         if 0 in lam:
             return None
         side = lam[verts.index(u)]

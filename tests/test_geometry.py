@@ -23,11 +23,10 @@ from delo import (
 from delo.geometry import (
     _cofactor_bound,
     _cofactors,
-    _exact_insphere_signs,
-    _exact_orient_signs,
+    _exact_plane_signs,
     _orient_signs,
     _unit_rows,
-    exact_det_sign,
+    is_affinely_independent,
 )
 
 from conftest import random_pointset
@@ -87,8 +86,8 @@ def test_orient_exactness_against_rational():
     # entries engineered so the float filter must defer to exact arithmetic
     eps = 2.0 ** -50
     pts = [(0.0, 0.0), (1.0, 0.0), (2.0, eps)]
-    truth = exact_det_sign([[Fraction(1), Fraction(0)], [Fraction(2), Fraction(eps)]])
-    assert int(orient(pts)) == truth == 1
+    truth = _fraction_det([[1.0, 0.0], [2.0, eps]])
+    assert int(orient(pts)) == np.sign(truth) == 1
 
 
 # --- in_sphere ---------------------------------------------------------------
@@ -127,35 +126,17 @@ def test_insphere_3d_tetrahedron():
     assert in_sphere(tet, (1, 1, 1)) is Sign.ZERO  # opposite corner of the circumsphere
 
 
+def test_insphere_overflowing_squared_distances_raise():
+    # the lifted rows hold |p - q|^2, which overflows to inf
+    with pytest.raises(OverflowError):
+        in_sphere([(0, 0), (1e200, 0), (0, 1e200)], (1, 1))
+
+
 def test_insphere_near_cospherical_resolved_exactly():
     # (1, 1) is exactly on the circumcircle; a 2^-50 nudge decides the sign
     off = 2.0 ** -50
     assert in_sphere(UNIT_TRI, (1.0, 1.0 + off)) is Sign.NEGATIVE
     assert in_sphere(UNIT_TRI, (1.0, 1.0 - off)) is Sign.POSITIVE
-
-
-def test_exact_int_signs_match_rational(rng):
-    # near- and exactly degenerate batches over a wide exponent range: the
-    # scaled-integer signs equal those of Fraction arithmetic
-    for k in range(1, 7):
-        for trial in range(40):
-            scale = 10.0 ** rng.integers(-150, 150)
-            simplices = rng.standard_normal((4, k + 1, k)) * scale
-            queries = rng.standard_normal((4, k)) * scale
-            if trial % 2:
-                simplices = np.round(simplices / scale * 2) / 2 * scale
-                queries = np.round(queries / scale * 2) / 2 * scale
-            if trial % 3 == 0:
-                simplices[:, 0] = 0.0
-            want_orient = [exact_det_sign(
-                [[Fraction(a) - Fraction(b) for a, b in zip(row, s[0])] for row in s[1:]])
-                for s in simplices]
-            want_insphere = []
-            for s, q in zip(simplices, queries):
-                rows = [[Fraction(a) - Fraction(b) for a, b in zip(p, q)] for p in s]
-                want_insphere.append(exact_det_sign([r + [sum(x * x for x in r)] for r in rows]))
-            assert _exact_orient_signs(simplices) == want_orient
-            assert _exact_insphere_signs(simplices, queries) == want_insphere
 
 
 def _fraction_det(rows) -> Fraction:
@@ -174,6 +155,59 @@ def _fraction_det(rows) -> Fraction:
             f = m[r][c] / m[c][c]
             m[r] = [a - f * b for a, b in zip(m[r], m[c])]
     return det
+
+
+def _rational_rows(pts, base, lift):
+    rows = [[Fraction(a) - Fraction(b) for a, b in zip(p, base)] for p in pts]
+    return [r + [sum(x * x for x in r)] for r in rows] if lift else rows
+
+
+def test_exact_int_signs_match_rational(rng):
+    # near- and exactly degenerate batches over a wide exponent range: the
+    # exact planes (the same expansion on scaled ints) give the signs of
+    # rational determinants, for faces (k points) and lifted simplices
+    # (k + 1), each plane serving several queries
+    for k in range(1, 7):
+        zeros = 0
+        for trial in range(30):
+            scale = 10.0 ** rng.integers(-150, 150)
+            pts = rng.standard_normal((4, k + 1, k)) * scale
+            queries = rng.standard_normal((12, k)) * scale
+            if trial % 2:  # half-integer grid: flat faces, cospherical points
+                pts = np.round(pts / scale * 2) / 2 * scale
+                queries = np.round(queries / scale * 2) / 2 * scale
+            if trial % 3 == 0:  # hypercube corners: every k + 2 of them cospherical
+                pts = rng.integers(0, 2, pts.shape) * scale
+                queries = rng.integers(0, 2, queries.shape) * scale
+            queries[0] = pts[0, -1]  # on every plane through its group
+            which = rng.integers(0, 4, len(queries))
+            which[0] = 0
+            for groups in (pts[:, 1:], pts):
+                lift = groups.shape[1] > k
+                want = [int(np.sign(_fraction_det(
+                    _rational_rows(list(groups[w, 1:]) + [q], groups[w, 0], lift))))
+                    for w, q in zip(which, queries)]
+                assert _exact_plane_signs(groups, which, queries).tolist() == want
+                zeros += want.count(0)
+        assert zeros > 60  # more than the 60 that queries[0] forces
+
+
+def test_affine_independence_matches_rational(rng):
+    # integer points times a power of two, so that an exact affine
+    # combination stays exact; truth from the rational Gram determinant
+    for k in range(1, 7):
+        seen = set()
+        for trial in range(30):
+            j = int(rng.integers(1, k + 1))
+            pts = rng.integers(-2, 3, (j + 1, k)) * 2.0 ** rng.integers(-500, 500)
+            if trial % 2 and j >= 2:
+                pts[-1] = 2 * pts[1] - pts[0]
+            rows = _rational_rows(pts[1:], pts[0], False)
+            want = _fraction_det([[sum(a * b for a, b in zip(r, s)) for s in rows]
+                                  for r in rows]) != 0
+            assert is_affinely_independent(pts) == want
+            seen.add(want)
+        assert seen == {True, False}
 
 
 @pytest.mark.parametrize("r", range(1, 7))

@@ -126,13 +126,13 @@ def test_bruteforce_equals_per_subset_reference(k, seed):
 
 def test_bruteforce_near_cocircular_grid_takes_exact_path(monkeypatch):
     counted = []
-    exact = delo.oracle._exact_insphere_signs
+    exact = delo.oracle._exact_plane_signs
 
-    def counting(simplices, queries):
+    def counting(pts, which, queries):
         counted.append(len(queries))
-        return exact(simplices, queries)
+        return exact(pts, which, queries)
 
-    monkeypatch.setattr(delo.oracle, "_exact_insphere_signs", counting)
+    monkeypatch.setattr(delo.oracle, "_exact_plane_signs", counting)
     rng = np.random.default_rng(3)
     grid = np.array(list(product(range(4), repeat=2)), dtype=float)
     pts = grid + rng.uniform(-1e-12, 1e-12, grid.shape)

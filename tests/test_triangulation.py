@@ -14,12 +14,20 @@ from delo import (
     GeometryError,
     PointSet,
     delaunay,
+    in_sphere_many,
     jitter_points,
     triangulation,
 )
 from delo.oracle import bruteforce_simplices, delaunay_bruteforce
 from delo.simulation import SimulationConfig, sample_shell
-from delo.geometry import Sign, _lifted_planes, _plane_insphere_signs, in_sphere, orient
+from delo.geometry import (
+    Sign,
+    _lifted_planes,
+    _plane_insphere_signs,
+    in_sphere,
+    is_affinely_independent,
+    orient,
+)
 from delo.triangulation import (
     _HullBuilder,
     _certify,
@@ -520,11 +528,31 @@ def test_builder_refuses_tick_grids_with_exact_cospherical_subset(shape):
     with pytest.raises(GeneralPositionError) as exc:
         delaunay(pts)
     assert exc.value.kind == "cospherical"
-    sub = pts[list(exc.value.subset)]
+    _assert_exactly_cospherical(pts[list(exc.value.subset)], k)
+
+
+def _assert_exactly_cospherical(sub, k):
     assert len(sub) == k + 2
     simplex = next(j for j in range(k + 2)
                    if orient(np.delete(sub, j, axis=0)) is not Sign.ZERO)
     assert in_sphere(np.delete(sub, simplex, axis=0), sub[simplex]) is Sign.ZERO
+
+
+def test_refused_subset_is_the_same_in_every_run(tmp_path):
+    # the builder used to keep its facets in sets hashed by id(), so which
+    # zero sign it met first, and the subset it named, changed between runs
+    pts = _near_tick_grid((2, 2, 2, 2), 1e-15, 76)
+    path = tmp_path / "grid.csv"
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in pts.tolist()))
+    runs = [subprocess.run([sys.executable, "-m", "delo.cli", "score", str(path)],
+                           env=_subprocess_env(), capture_output=True, text=True,
+                           timeout=120)
+            for _ in range(5)]
+    assert [r.returncode for r in runs] == [2] * 5
+    assert len({r.stderr for r in runs}) == 1
+    detail = json.loads(runs[0].stderr)["detail"]
+    assert detail["kind"] == "cospherical"
+    _assert_exactly_cospherical(pts[detail["subset"]], 4)
 
 
 @pytest.mark.parametrize("shape", [(6, 6), (3, 3, 3), (2, 2, 2, 2)], ids=["2d", "3d", "4d"])
@@ -552,7 +580,8 @@ def test_certificate_insphere_signs_equal_in_sphere_on_tick_grids(shape, jitter)
 
 
 def test_certificate_and_brute_force_need_no_lu_determinant(monkeypatch):
-    # both take their signs from the cofactor kernel and exact integers
+    # every sign, the builder's, the flips' and the predicates' included,
+    # comes from the cofactor kernel and exact integers
     ps = random_pointset(12, 30, 3)
     cells = triangulation._qhull()[0](ps.coords).simplices
 
@@ -560,8 +589,22 @@ def test_certificate_and_brute_force_need_no_lu_determinant(monkeypatch):
         raise AssertionError("np.linalg.det called")
 
     monkeypatch.setattr(np.linalg, "det", no_det)
-    assert _certify(ps.coords, cells) is not None
+    certified = _certify(ps.coords, cells)
+    assert certified is not None
     assert bruteforce_simplices(ps)
+
+    quad = np.array([(0, 0), (4, 0), (5, 3), (0, 1)], dtype=float)
+    flipped = _flip_to_delaunay(quad, np.array([(0, 1, 2), (0, 2, 3)]), [(0, 2)])
+    assert _certify(quad, flipped)[0].tolist() == [[0, 1, 3], [1, 2, 3]]
+    assert orient(quad[:3]) is Sign.POSITIVE
+    assert in_sphere_many(quad[:3], quad[3:]).tolist() == [1]
+    assert is_affinely_independent(quad[:3])
+    assert not is_affinely_independent([(0, 0), (1, 1), (2, 2)])
+
+    monkeypatch.setattr(triangulation, "_qhull_delaunay", lambda ps: None)
+    g = delaunay(ps)
+    assert g.stats.backend == "incremental"
+    assert g.cells.tolist() == certified[0].tolist()
 
 
 def _flat_hull_edge(n, seed):
@@ -646,10 +689,16 @@ def test_unique_triangulation_for_every_insertion_seed():
         assert (exc.value.kind, exc.value.subset) == ("cospherical", (0, 1, 2, 3))
 
 
-def test_import_does_not_load_scipy():
+def _subprocess_env():
     src = Path(delo.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def test_import_does_not_load_scipy():
+    # scipy adds about half a second to start-up, and fractions is not needed
+    # since every exact sign is computed on ints
     subprocess.run([sys.executable, "-c",
-                    "import delo.cli, sys; assert 'scipy' not in sys.modules"],
-                   env=env, check=True, timeout=120)
+                    "import delo.cli, sys; "
+                    "assert 'scipy' not in sys.modules; assert 'fractions' not in sys.modules"],
+                   env=_subprocess_env(), check=True, timeout=120)
