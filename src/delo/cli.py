@@ -21,11 +21,6 @@ import numpy as np
 from .geometry import DuplicatePointError, GeometryError, MAX_DIM, PointSet, jitter_points
 from .outlyingness import flag as flag_scores
 from .outlyingness import score
-from .simulation import (
-    SimulationConfig,
-    run_consistency_experiment,
-    run_relative_outlyingness_experiment,
-)
 from .triangulation import delaunay
 
 SCORES_SCHEMA = "delo.scores.v1"
@@ -233,6 +228,9 @@ def cmd_triangulate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # imported here: only the experiments need it, and it loads multiprocessing
+    from .simulation import SimulationConfig, run_relative_outlyingness_experiment
+
     cfg = SimulationConfig(
         dim=args.dim, n_inliers=args.n, replicates=args.replicates,
         seed=args.seed, r_lo=args.r_lo, r_hi=args.r_hi,
@@ -249,6 +247,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_consistency(args) -> int:
+    from .simulation import run_consistency_experiment
+
     report = run_consistency_experiment(
         dim=args.dim, radius=args.radius,
         center=args.center or (0.0,) * args.dim,

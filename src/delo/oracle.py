@@ -7,15 +7,24 @@ within the forward error bound is decided by the same expansion on exact
 integers, one exact hyperplane per subset, so every sign is the true one.
 It shares that kernel (geometry._lifted_planes and _exact_plane_signs) with
 the triangulation's certificate, but not the enumeration: it never sees the
-cells it is compared with. A linear-program feasibility test decides a
-single pair (is there a point equidistant from both that no other sample
-point beats?); it shares nothing with the other two. Sizes are guarded;
-these exist for validation, not performance.
+cells it is compared with.
+
+A linear-program feasibility test decides a single pair (is there a point
+equidistant from both that no other sample point beats?); it shares
+nothing with the other two. Each pair's LP lives on its bisector, in an
+orthonormal basis from one Householder reflection, and is decided by a
+phase-1 simplex under Bland's rule with 1e-9 tolerances, on a condensed
+tableau: one column per nonbasic variable, not one per variable. The LPs
+run in lockstep, a batch of consecutive pairs at a time. The module keeps
+the last point set it was given, validated, with the batches solved for
+it; a call whose set has the same shape and float64 bytes reuses them, and
+any other set replaces them. Sizes are guarded; these exist for
+validation, not performance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations
 
 import numpy as np
@@ -106,122 +115,176 @@ def delaunay_bruteforce(points) -> set[tuple[int, int]]:
 # LP adjacency witness
 # ---------------------------------------------------------------------------
 
-def _phase1_feasible(A: np.ndarray, b: np.ndarray, tol: float = 1e-9,
-                     max_iter: int = 20_000):
-    """Find t with A t <= b (t free) via a phase-1 simplex, Bland's rule.
+_LP_BATCH_ENTRIES = 2 ** 18  # array entries one batch of pair LPs may take
+FEASIBLE, INFEASIBLE, UNBOUNDED, NO_CONVERGENCE = range(4)  # _phase1 outcomes
 
-    Returns t or None if infeasible.
+
+def _phase1(A: np.ndarray, b: np.ndarray, tol: float = 1e-9, max_iter: int = 20_000):
+    """For each of B systems, find t with A t <= b (t free) by a phase-1
+    simplex under Bland's rule; the systems pivot in lockstep.
+
+    A is (B, m, v) and b is (B, m). With t = t+ - t-, rows with b_r >= 0
+    read y_r = b_r - A_r t and the others a_r = A_r t + y_r - b_r, every
+    variable nonnegative; phase 1 minimises the sum of the artificials a_r.
+    Bland's rule takes the lowest eligible index in the order t+, t-, y, a.
+    The tableau is condensed: a row per basic variable plus the objective
+    row last, the right-hand side first, then a column per nonbasic
+    variable. Column 2v + r starts as y_r where b_r < 0 and empty (zero, so
+    never eligible) otherwise. Returns (outcome (B,), t (B, v)): FEASIBLE
+    with its t, INFEASIBLE, or the failure that stopped that system.
     """
-    m, v = A.shape
-    if m == 0:
-        return np.zeros(v)
-    flip = np.where(b < 0, -1.0, 1.0)
-    A2 = A * flip[:, None]
-    rhs = b * flip
+    B, m, v = A.shape
     neg = b < 0
-    n_art = int(neg.sum())
-    if n_art == 0:
-        return np.zeros(v)  # t = 0 already satisfies every constraint
-    ncols = 2 * v + m + n_art
-    T = np.zeros((m, ncols))
-    T[:, :v] = A2
-    T[:, v:2 * v] = -A2
-    T[np.arange(m), 2 * v + np.arange(m)] = flip
-    basis = np.empty(m, dtype=int)
-    ai = 0
-    for r in range(m):
-        if neg[r]:
-            c = 2 * v + m + ai
-            T[r, c] = 1.0
-            basis[r] = c
-            ai += 1
+    outcome = np.where(neg.any(axis=1), INFEASIBLE, FEASIBLE)  # t = 0 if no b_r < 0
+    x = np.zeros((B, 2 * v))
+    live = np.flatnonzero(outcome == INFEASIBLE)
+    neg, A, b = neg[live], A[live], b[live]
+    rows = np.arange(m)
+    M = np.zeros((len(live), m + 1, 1 + 2 * v + m))
+    flip = np.where(neg, -1.0, 1.0)
+    M[:, :m, 0] = flip * b
+    M[:, :m, 1:1 + v] = -flip[..., None] * A
+    M[:, :m, 1 + v:1 + 2 * v] = -M[:, :m, 1:1 + v]
+    M[:, rows, 1 + 2 * v + rows] = neg
+    M[:, m] = (neg[:, None, :] @ M[:, :m])[:, 0]  # the sum of the rows of the a_r
+    basic = np.where(neg, 2 * v + m + rows, 2 * v + rows)
+    never = 2 * (v + m)
+    nonbasic = np.concatenate(
+        [np.broadcast_to(np.arange(2 * v), (len(live), 2 * v)), np.where(neg, 2 * v + rows, never)],
+        axis=1)
+
+    def finish(stop, code=None):
+        nonlocal live, M, basic, nonbasic
+        idx, Ms, bs = live[stop], M[stop], basic[stop]
+        if code is None:
+            outcome[idx] = np.where(Ms[:, m, 0] <= tol, FEASIBLE, INFEASIBLE)
+            r, s = np.nonzero(bs < 2 * v)
+            x[idx[r], bs[r, s]] = Ms[r, s, 0]
         else:
-            basis[r] = 2 * v + r
-    # phase-1 reduced costs c - z: cost 1 on artificials, basic rows priced out
-    cbar = np.zeros(ncols)
-    cbar[2 * v + m:] = 1.0
-    cbar -= T[neg].sum(axis=0)
-    obj = float(rhs[neg].sum())  # current sum of artificials
+            outcome[idx] = code
+        go = ~stop
+        live, M, basic, nonbasic = live[go], M[go], basic[go], nonbasic[go]
+        return go
 
     for _ in range(max_iter):
-        entering = -1
-        for jcol in range(ncols):  # Bland: lowest eligible index
-            if cbar[jcol] < -tol:
-                entering = jcol
-                break
-        if entering < 0:
+        if not len(live):
             break
-        col = T[:, entering]
-        ratios = np.full(m, np.inf)
-        pos = col > tol
-        ratios[pos] = rhs[pos] / col[pos]
-        best = float(ratios.min())
-        if not np.isfinite(best):
-            raise RuntimeError("phase-1 objective unbounded; should not happen")
-        ties = np.nonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
-        leave = int(min(ties, key=lambda r: basis[r]))  # Bland tie-break
-        piv = T[leave, entering]
-        T[leave] /= piv
-        rhs[leave] /= piv
-        coef = T[:, entering].copy()
-        coef[leave] = 0.0
-        T -= np.outer(coef, T[leave])
-        rhs -= coef * rhs[leave]
-        delta = cbar[entering]
-        cbar -= delta * T[leave]
-        obj += delta * rhs[leave]
-        basis[leave] = entering
+        eligible = M[:, m, 1:] < -tol
+        enter = np.where(eligible, nonbasic, never).argmin(axis=1)
+        optimal = ~eligible[np.arange(len(live)), enter]
+        if optimal.any():
+            enter = enter[finish(optimal)]
+        col = M[np.arange(len(live)), :m, enter + 1]
+        ratios = np.divide(M[:, :m, 0], -col, out=np.full(col.shape, np.inf), where=col < -tol)
+        unbounded = np.isinf(ratios.min(axis=1))
+        if unbounded.any():
+            keep = finish(unbounded, UNBOUNDED)
+            enter, ratios = enter[keep], ratios[keep]
+        ar, c = np.arange(len(live)), enter + 1
+        best = ratios.min(axis=1)
+        ties = ratios <= (best + 1e-12 * (1.0 + np.abs(best)))[:, None]
+        leave = np.where(ties, basic, never).argmin(axis=1)  # Bland tie-break
+        prow = M[ar, leave]
+        piv = prow[ar, c]
+        new = prow / -piv[:, None]
+        new[ar, c] = 1.0 / piv
+        colv = M[ar, :, c]
+        M[ar, :, c] = 0.0
+        M += np.einsum("br,bc->brc", colv, new)
+        M[ar, leave] = new
+        entering = nonbasic[ar, enter]
+        nonbasic[ar, enter] = basic[ar, leave]
+        basic[ar, leave] = entering
     else:
-        raise RuntimeError("phase-1 simplex did not converge")
+        finish(np.ones(len(live), dtype=bool), NO_CONVERGENCE)
+    return outcome, x[:, :v] - x[:, v:]
 
-    if obj > tol:
-        return None
-    x = np.zeros(ncols)
-    x[basis] = rhs
-    return x[:v] - x[v:2 * v]
+
+def _pair_witnesses(coords: np.ndarray, I: np.ndarray, J: np.ndarray):
+    """The LP outcomes and witnesses of the pairs (I[p], J[p]), I < J, by
+    one batch of LPs: (outcome (P,), witness (P, k))."""
+    n, k = coords.shape
+    ar = np.arange(len(I))
+    mid = 0.5 * (coords[I] + coords[J])
+    shifted = coords - mid[:, None]
+    scale = np.abs(shifted).max(axis=(1, 2))
+    shifted /= scale[:, None, None]
+    xi = shifted[ar, I]
+    # a Householder reflection maps the pair axis u to a multiple of e_0; its
+    # other k-1 columns are an orthonormal basis of the bisector's directions
+    h = xi - shifted[ar, J]
+    h /= np.linalg.norm(h, axis=1)[:, None]
+    h[:, 0] += np.where(h[:, 0] < 0, -1.0, 1.0)
+    basis = (np.eye(k)[:, 1:]
+             - (2.0 / np.einsum("pi,pi->p", h, h))[:, None, None] * h[:, :, None] * h[:, None, 1:])
+    q = np.arange(n - 2)
+    xz = shifted[ar[:, None], q + (q >= I[:, None]) + (q >= J[:, None] - 1)]
+    # at p = V t: d(p, z) >= d(p, x_i) becomes 2 (Vt) . (x_z - x_i) <= |x_z|^2 - |x_i|^2
+    # in midpoint-centred coordinates, where |x_i| = |x_j|
+    A = 2.0 * (xz - xi[:, None]) @ basis
+    b = np.einsum("pzi,pzi->pz", xz, xz) - np.einsum("pi,pi->p", xi, xi)[:, None]
+    outcome, t = _phase1(A, b)
+    return outcome, mid + scale[:, None] * np.einsum("pij,pj->pi", basis, t)
+
+
+@dataclass
+class _SetMemo:
+    """A validated point set, keyed by its shape and float64 bytes, with the
+    witness batches solved for it so far."""
+    shape: tuple
+    data: bytes
+    ps: PointSet
+    batch: int  # pairs per batch of LPs
+    solved: dict = field(default_factory=dict)  # batch number -> (outcome, witness)
+
+
+_memo: _SetMemo | None = None
+
+
+def _memo_for(points) -> _SetMemo:
+    global _memo
+    arr = points.coords if isinstance(points, PointSet) else np.asarray(points, dtype=np.float64)
+    data = arr.tobytes()
+    if _memo is None or _memo.shape != arr.shape or _memo.data != data:
+        ps = _as_pointset(points)  # raises for an invalid set, before it is kept
+        n, k = ps.n, ps.dim
+        per_pair = (n - 1) * (k + n - 2) + n * k  # tableau and centred points
+        _memo = _SetMemo(arr.shape, data, ps, max(1, _LP_BATCH_ENTRIES // per_pair))
+    return _memo
 
 
 def adjacent_witness(points, i: int, j: int) -> WitnessResult:
     """Decide Delaunay adjacency of points i and j by LP feasibility.
 
     Adjacent iff some p is equidistant from both and at least as close to
-    them as to every other sample point; a feasible p is returned.
+    them as to every other sample point; a feasible p is returned. The pair
+    is unordered. The LPs of the set's pairs are solved in batches of
+    consecutive pairs (i < j in lexicographic order), kept while the next
+    call passes a set with the same contents.
     """
-    ps = _as_pointset(points)
-    n, k = ps.n, ps.dim
+    memo = _memo_for(points)
+    n = memo.ps.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError("point index out of range")
     if i == j:
         raise GeometryError("indices must differ")
     if n > WITNESS_MAX_N:
         raise GeometryError(f"witness oracle is guarded to n <= {WITNESS_MAX_N}")
-    coords = ps.coords
-    mid = 0.5 * (coords[i] + coords[j])
-    shifted = coords - mid
-    scale = float(np.abs(shifted).max())
-    if scale == 0.0:
-        scale = 1.0
-    shifted = shifted / scale
-
-    u = shifted[i] - shifted[j]
-    full, _, _ = np.linalg.svd(u[:, None])
-    basisV = full[:, 1:]  # (k, k-1) orthonormal complement of the pair axis
-
-    others = [z for z in range(n) if z not in (i, j)]
-    if others:
-        dz = shifted[others] - shifted[i]
-        A = 2.0 * dz @ basisV
-        b = (np.einsum("ij,ij->i", shifted[others], shifted[others])
-             - float(shifted[i] @ shifted[i]))
-        # at t: d(p, z) >= d(p, x_i) becomes 2 (Vt) . (x_z - x_i) <= |x_z|^2 - |x_i|^2
-        # in midpoint-centered coordinates, where |x_i| = |x_j|
-        t = _phase1_feasible(A, b)
-    else:
-        t = np.zeros(k - 1) if k > 1 else np.zeros(0)
-    if t is None:
+    lo, hi = (i, j) if i < j else (j, i)
+    batch, pos = divmod(lo * (2 * n - lo - 1) // 2 + hi - lo - 1, memo.batch)
+    if batch not in memo.solved:
+        q = np.arange(batch * memo.batch, min((batch + 1) * memo.batch, n * (n - 1) // 2))
+        starts = np.arange(n) * (2 * n - np.arange(n) - 1) // 2  # first pair of each row
+        I = np.searchsorted(starts, q, side="right") - 1
+        memo.solved[batch] = _pair_witnesses(memo.ps.coords, I, q - starts[I] + I + 1)
+    outcome, witness = memo.solved[batch]
+    if outcome[pos] == UNBOUNDED:
+        raise RuntimeError("phase-1 objective unbounded; should not happen")
+    if outcome[pos] == NO_CONVERGENCE:
+        raise RuntimeError("phase-1 simplex did not converge")
+    if outcome[pos] == INFEASIBLE:
         return WitnessResult(False, None)
-    p = mid + scale * (basisV @ t)
-    return WitnessResult(True, p)
+    return WitnessResult(True, witness[pos].copy())
 
 
 def circumcenter(simplex) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import MAX_DIM, GeneralPositionError, PointSet
 from .outlyingness import relative_outlyingness, score
-from .triangulation import delaunay
+from .triangulation import _qhull, delaunay
 
 
 def _stream(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
@@ -183,6 +183,7 @@ def run_relative_outlyingness_experiment(cfg: SimulationConfig, *,
     args = [(cfg, r) for r in range(cfg.replicates)]
     procs = resolve_processes(processes)
     if procs > 1 and cfg.replicates > 1:
+        _qhull()  # import scipy once here, not in every forked worker
         with Pool(procs) as pool:
             results = pool.map(_shell_replicate, args,
                                chunksize=max(1, cfg.replicates // (4 * procs)))
@@ -325,6 +326,7 @@ def run_consistency_experiment(*, dim: int, radius: float, center, outliers,
             for n_idx, n in enumerate(schedule) for rep in range(replicates)]
     procs = resolve_processes(processes)
     if procs > 1 and len(args) > 1:
+        _qhull()  # import scipy once here, not in every forked worker
         with Pool(procs) as pool:
             rows = pool.map(_consistency_replicate, args,
                             chunksize=max(1, len(args) // (4 * procs)))

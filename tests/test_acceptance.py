@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from delo import PointSet, Sign, delaunay, orient
+from delo import PointSet, delaunay
 from delo.oracle import adjacent_witness, delaunay_bruteforce
 from delo.outlyingness import flag, score
 from delo.simulation import (
@@ -71,14 +71,23 @@ def test_criterion_02_analytic_triangle_scores():
 # --- criterion 3 ------------------------------------------------------------------
 
 def _hull_vertex_count(coords) -> int:
-    pts = sorted(map(tuple, coords))
+    """Vertices of the convex hull by Andrew's monotone chain. Every float is
+    p / 2^e, so one power of two scales the coordinates exactly to integers,
+    and each turn is the sign of an exact integer cross product."""
+    ratios = [x.as_integer_ratio() for x in coords.ravel().tolist()]
+    den = max(q for _, q in ratios)
+    ints = [p * (den // q) for p, q in ratios]
+    pts = sorted(zip(ints[0::2], ints[1::2]))
 
     def chain(seq):
         out = []
-        for p in seq:
-            while len(out) >= 2 and orient([out[-2], out[-1], p]) is not Sign.POSITIVE:
+        for x, y in seq:
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:  # a left turn
+                    break
                 out.pop()
-            out.append(p)
+            out.append((x, y))
         return out
 
     return len(chain(pts)) + len(chain(reversed(pts))) - 2

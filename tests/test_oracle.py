@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import delo.oracle
 from delo import (
     DegenerateSimplexError,
+    DuplicatePointError,
     GeneralPositionError,
     GeometryError,
     Sign,
@@ -17,12 +18,16 @@ from delo import (
     orient,
 )
 from delo.oracle import (
+    FEASIBLE,
+    INFEASIBLE,
+    NO_CONVERGENCE,
+    UNBOUNDED,
     adjacent_witness,
     bisector_pythagoras_check,
     bruteforce_simplices,
     circumcenter,
     delaunay_bruteforce,
-    _phase1_feasible,
+    _phase1,
 )
 
 from conftest import random_pointset
@@ -237,13 +242,41 @@ def test_witness_properties_on_random_set(rng):
 def test_phase1_simplex_basic():
     # t <= 1 and t >= 0.5 feasible; t <= 1 and t >= 2 infeasible
     A = np.array([[1.0], [-1.0]])
-    assert _phase1_feasible(A, np.array([1.0, -0.5])) is not None
-    assert _phase1_feasible(A, np.array([1.0, -2.0])) is None
+    outcome, t = _phase1(np.stack([A, A]), np.array([[1.0, -0.5], [1.0, -2.0]]))
+    assert outcome.tolist() == [FEASIBLE, INFEASIBLE]
+    assert 0.5 <= t[0, 0] <= 1.0
+    assert _reference_phase1(A, np.array([1.0, -0.5])) is not None
+    assert _reference_phase1(A, np.array([1.0, -2.0])) is None
     # unbounded-but-feasible region
-    assert _phase1_feasible(np.array([[1.0, 0.0]]), np.array([-3.0])) is not None
+    outcome, t = _phase1(np.array([[[1.0, 0.0]]]), np.array([[-3.0]]))
+    assert outcome.tolist() == [FEASIBLE] and t[0, 0] <= -3.0
     # zero-variable systems degrade to sign checks on b
-    assert _phase1_feasible(np.empty((2, 0)), np.array([1.0, 0.0])) is not None
-    assert _phase1_feasible(np.empty((1, 0)), np.array([-1.0])) is None
+    outcome, _ = _phase1(np.empty((2, 2, 0)), np.array([[1.0, 0.0], [-1.0, 1.0]]))
+    assert outcome.tolist() == [FEASIBLE, INFEASIBLE]
+
+
+def test_phase1_failures_stay_with_their_system():
+    # t >= 1/6e-10 is feasible, but no pivot entry is beyond the tolerance,
+    # so the reference stops as unbounded; the system batched with it does not
+    A = np.array([[[-6e-10], [-6e-10]], [[1.0], [-1.0]]])
+    b = np.array([[-1.0, -1.0], [1.0, -0.5]])
+    with pytest.raises(RuntimeError, match="unbounded"):
+        _reference_phase1(A[0], b[0])
+    assert _phase1(A, b)[0].tolist() == [UNBOUNDED, FEASIBLE]
+    # a system that needs a pivot does not finish in none; one that needs none does
+    outcome, _ = _phase1(A[[1, 1]], np.array([[1.0, -0.5], [1.0, 0.5]]), max_iter=1)
+    assert outcome.tolist() == [NO_CONVERGENCE, FEASIBLE]
+
+
+def test_witness_raises_for_a_failed_lp(monkeypatch):
+    def failing(A, b):
+        return np.full(len(A), UNBOUNDED), np.zeros(A.shape[::2])
+
+    monkeypatch.setattr(delo.oracle, "_phase1", failing)
+    pts = random_pointset(7, 9, 2).coords
+    for _ in range(2):  # a failure is not remembered as an answer
+        with pytest.raises(RuntimeError, match="unbounded"):
+            adjacent_witness(pts, 0, 1)
 
 
 def test_witness_1d_midpoint():
@@ -251,6 +284,181 @@ def test_witness_1d_midpoint():
     assert adjacent_witness(pts, 0, 1).adjacent
     assert adjacent_witness(pts, 1, 2).adjacent
     assert not adjacent_witness(pts, 0, 2).adjacent
+
+
+def _reference_phase1(A: np.ndarray, b: np.ndarray, tol: float = 1e-9,
+                      max_iter: int = 20_000):
+    """Find t with A t <= b (t free) by a phase-1 simplex under Bland's rule
+    on the full dense tableau, t split as t+ - t-; None if infeasible. The
+    per-pair solver the batched one replaced, kept as its reference."""
+    m, v = A.shape
+    if m == 0:
+        return np.zeros(v)
+    flip = np.where(b < 0, -1.0, 1.0)
+    A2 = A * flip[:, None]
+    rhs = b * flip
+    neg = b < 0
+    n_art = int(neg.sum())
+    if n_art == 0:
+        return np.zeros(v)
+    ncols = 2 * v + m + n_art
+    T = np.zeros((m, ncols))
+    T[:, :v] = A2
+    T[:, v:2 * v] = -A2
+    T[np.arange(m), 2 * v + np.arange(m)] = flip
+    basis = np.empty(m, dtype=int)
+    ai = 0
+    for r in range(m):
+        if neg[r]:
+            c = 2 * v + m + ai
+            T[r, c] = 1.0
+            basis[r] = c
+            ai += 1
+        else:
+            basis[r] = 2 * v + r
+    cbar = np.zeros(ncols)
+    cbar[2 * v + m:] = 1.0
+    cbar -= T[neg].sum(axis=0)
+    obj = float(rhs[neg].sum())
+    for _ in range(max_iter):
+        eligible = np.flatnonzero(cbar < -tol)
+        if not len(eligible):
+            break
+        entering = int(eligible[0])
+        col = T[:, entering]
+        ratios = np.full(m, np.inf)
+        pos = col > tol
+        ratios[pos] = rhs[pos] / col[pos]
+        best = float(ratios.min())
+        if not np.isfinite(best):
+            raise RuntimeError("phase-1 objective unbounded; should not happen")
+        ties = np.nonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
+        leave = int(min(ties, key=lambda r: basis[r]))
+        piv = T[leave, entering]
+        T[leave] /= piv
+        rhs[leave] /= piv
+        coef = T[:, entering].copy()
+        coef[leave] = 0.0
+        T -= np.outer(coef, T[leave])
+        rhs -= coef * rhs[leave]
+        delta = cbar[entering]
+        cbar -= delta * T[leave]
+        obj += delta * rhs[leave]
+        basis[leave] = entering
+    else:
+        raise RuntimeError("phase-1 simplex did not converge")
+    if obj > tol:
+        return None
+    x = np.zeros(ncols)
+    x[basis] = rhs
+    return x[:v] - x[v:2 * v]
+
+
+def _reference_adjacent(pts: np.ndarray, i: int, j: int) -> bool:
+    """The per-pair LP on the bisector, its basis from an SVD."""
+    mid = 0.5 * (pts[i] + pts[j])
+    shifted = pts - mid
+    shifted = shifted / np.abs(shifted).max()
+    full, _, _ = np.linalg.svd((shifted[i] - shifted[j])[:, None])
+    others = [z for z in range(len(pts)) if z not in (i, j)]
+    A = 2.0 * (shifted[others] - shifted[i]) @ full[:, 1:]
+    b = np.einsum("ij,ij->i", shifted[others], shifted[others]) - shifted[i] @ shifted[i]
+    return _reference_phase1(A, b) is not None
+
+
+def _assert_witness(pts, i, j, p):
+    """p is on the bisector of i and j and no sample point is closer, within
+    the witness tolerance."""
+    diam = max(distance(a, b) for a, b in combinations(pts, 2))
+    di, dj = distance(p, pts[i]), distance(p, pts[j])
+    assert abs(di - dj) <= 1e-9 * max(diam, di)
+    assert np.linalg.norm(pts - p, axis=1).min() >= di - 1e-9 * max(diam, di)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_witness_equals_reference_and_bruteforce(k, seed):
+    rng = np.random.default_rng(1000 * k + seed)
+    n = int(rng.integers(k + 2, 20 if k <= 4 else 13))
+    pts = rng.uniform(-1, 1, (n, k))
+    witness = set()
+    for i, j in combinations(range(n), 2):
+        res = adjacent_witness(pts, i, j)
+        assert res.adjacent == _reference_adjacent(pts, i, j)
+        assert res.adjacent == adjacent_witness(pts, j, i).adjacent
+        if res.adjacent:
+            _assert_witness(pts, i, j, res.witness)
+            witness.add((i, j))
+    assert witness == delaunay_bruteforce(pts)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("jitter", [0.0, 1e-12])
+@pytest.mark.parametrize("seed", range(5))
+def test_witness_equals_reference_on_near_cospherical_grids(k, jitter, seed):
+    # the grids of the brute-force test above. Weak adjacency within the
+    # tolerance is not brute force's strict answer here, so only the
+    # reference is compared
+    rng = np.random.default_rng(seed)
+    grid = np.array(list(product(range(4 if k == 2 else 2), repeat=k)), dtype=float)
+    pts = np.vstack([grid + rng.uniform(-jitter, jitter, grid.shape),
+                     rng.uniform(0, 3 if k == 2 else 1, (int(rng.integers(0, 4)), k))])
+    for i, j in combinations(range(len(pts)), 2):
+        res = adjacent_witness(pts, i, j)
+        assert res.adjacent == _reference_adjacent(pts, i, j)
+        if res.adjacent:
+            _assert_witness(pts, i, j, res.witness)
+
+
+def test_witness_follows_in_place_changes():
+    pts = np.array(QUAD, dtype=float)
+    assert not adjacent_witness(pts, 1, 2).adjacent
+    pts[3] = (5.0, 5.0)  # the circle through 0, 1 and 2 is now empty
+    assert adjacent_witness(pts, 1, 2).adjacent
+    pts[3] = (0.9, 0.9)
+    assert not adjacent_witness(pts, 1, 2).adjacent
+
+
+def test_witness_refuses_invalid_sets_on_every_call():
+    adjacent_witness(QUAD, 0, 1)
+    for _ in range(2):
+        with pytest.raises(DuplicatePointError):
+            adjacent_witness(QUAD + [QUAD[0]], 0, 1)
+        with pytest.raises(GeometryError, match="non-finite"):
+            adjacent_witness(QUAD[:3] + [(np.nan, 0.0)], 0, 1)
+
+
+def test_witness_int_and_float_input_agree():
+    ints = np.array([(0, 0), (4, 1), (1, 5), (6, 6), (3, 2), (-2, 3)])
+    floats = ints.astype(np.float64)
+    for i, j in combinations(range(len(ints)), 2):
+        a, b = adjacent_witness(ints, i, j), adjacent_witness(floats, i, j)
+        assert a.adjacent == b.adjacent
+        if a.adjacent:
+            np.testing.assert_array_equal(a.witness, b.witness)
+
+
+def test_witness_guards_hold_on_a_remembered_set():
+    adjacent_witness(QUAD, 0, 1)
+    with pytest.raises(GeometryError):
+        adjacent_witness(QUAD, 2, 2)
+    with pytest.raises(IndexError):
+        adjacent_witness(QUAD, 4, 0)
+    with pytest.raises(IndexError):
+        adjacent_witness(QUAD, -1, 0)
+    big = random_pointset(1, 201, 2)
+    for _ in range(2):
+        with pytest.raises(GeometryError, match="guarded"):
+            adjacent_witness(big, 0, 1)
+
+
+def test_witness_is_a_fresh_array():
+    pts = random_pointset(3, 10, 3).coords
+    i, j = next((i, j) for i, j in combinations(range(10), 2)
+                if adjacent_witness(pts, i, j).adjacent)
+    first = adjacent_witness(pts, i, j).witness
+    first[:] = np.inf
+    _assert_witness(pts, i, j, adjacent_witness(pts, i, j).witness)
 
 
 # --- circumcenter ------------------------------------------------------------

@@ -697,8 +697,11 @@ def _subprocess_env():
 
 def test_import_does_not_load_scipy():
     # scipy adds about half a second to start-up, and fractions is not needed
-    # since every exact sign is computed on ints
+    # since every exact sign is computed on ints; the experiments and their
+    # process pool load only for the commands that run them
     subprocess.run([sys.executable, "-c",
                     "import delo.cli, sys; "
-                    "assert 'scipy' not in sys.modules; assert 'fractions' not in sys.modules"],
+                    "assert 'scipy' not in sys.modules; assert 'fractions' not in sys.modules; "
+                    "assert 'delo.simulation' not in sys.modules; "
+                    "assert 'multiprocessing' not in sys.modules"],
                    env=_subprocess_env(), check=True, timeout=120)
