@@ -4,16 +4,12 @@ from .geometry import (
     DegenerateSimplexError,
     DuplicatePointError,
     GeneralPositionError,
-    GeneralPositionReport,
     GeometryError,
     PointSet,
     Sign,
-    check_general_position,
-    distance,
     in_sphere,
     in_sphere_many,
     jitter_points,
-    lift,
     orient,
 )
 from .triangulation import DelaunayGraph, delaunay
@@ -23,17 +19,13 @@ __all__ = [
     "DelaunayGraph",
     "DuplicatePointError",
     "GeneralPositionError",
-    "GeneralPositionReport",
     "GeometryError",
     "PointSet",
     "Sign",
-    "check_general_position",
     "delaunay",
-    "distance",
     "in_sphere",
     "in_sphere_many",
     "jitter_points",
-    "lift",
     "orient",
 ]
 

@@ -358,39 +358,9 @@ def in_sphere(simplex, query) -> Sign:
     return Sign(int(in_sphere_many(simplex, [query])[0]))
 
 
-def lift(point) -> np.ndarray:
-    """Map x in R^k to (x, |x|^2) on the paraboloid in R^(k+1)."""
-    p = np.asarray(point, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(p)):
-        raise GeometryError("non-finite coordinate")
-    with np.errstate(over="ignore"):
-        sq = float(p @ p)
-    if not math.isfinite(sq):
-        raise OverflowError("squared norm overflows a float")
-    return np.concatenate([p, [sq]])
-
-
-def distance(x, y) -> float:
-    """Euclidean distance, the length of the segment between x and y."""
-    a = np.asarray(x, dtype=np.float64).reshape(-1)
-    b = np.asarray(y, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise GeometryError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return math.dist(a, b)
-
-
 # ---------------------------------------------------------------------------
 # general position
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GeneralPositionReport:
-    in_general_position: bool
-    spans: bool
-    violation: tuple[int, ...] | None
-    kind: str | None
-    mode: str
-
 
 def is_affinely_independent(pts) -> bool:
     """Exact affine-independence test for up to k+1 points in R^k.
@@ -418,50 +388,6 @@ def affinely_independent_subset(coords) -> list[int]:
         if is_affinely_independent(arr[chosen + [i]]):
             chosen.append(i)
     return chosen
-
-
-def check_general_position(ps: PointSet, exhaustive: bool = False) -> GeneralPositionReport:
-    """Report whether a point set is in general position.
-
-    Exhaustive mode (n <= 20) enumerates every k+2 subset for cosphericality
-    and every affine-dependence pattern. The default lazy mode runs the
-    triangulation and reports the degeneracies it encounters.
-    """
-    n, k = ps.n, ps.dim
-    if exhaustive:
-        if n > 20:
-            raise GeometryError("exhaustive general-position check is limited to n <= 20")
-        basis = affinely_independent_subset(ps.coords)
-        spans = len(basis) == k + 1
-        if not spans and n >= k + 1:
-            return GeneralPositionReport(False, False, tuple(range(n)), "affine_span",
-                                         "exhaustive")
-        for subset in combinations(range(n), k + 2):
-            pts = ps.coords[list(subset)]
-            simplex_idx = None
-            for sub in combinations(range(k + 2), k + 1):
-                if orient(pts[list(sub)]) is not Sign.ZERO:
-                    simplex_idx = sub
-                    break
-            if simplex_idx is None:
-                continue  # all on a hyperplane: no genuine sphere through them
-            rest = next(i for i in range(k + 2) if i not in simplex_idx)
-            if in_sphere(pts[list(simplex_idx)], pts[rest]) is Sign.ZERO:
-                return GeneralPositionReport(False, spans, subset, "cospherical",
-                                             "exhaustive")
-        return GeneralPositionReport(spans, spans, None if spans else tuple(range(n)),
-                                     None if spans else "affine_span", "exhaustive")
-
-    from . import triangulation  # deferred: triangulation imports this module
-
-    try:
-        triangulation.delaunay(ps)
-    except GeneralPositionError as err:
-        spans = err.kind != "affine_span"
-        return GeneralPositionReport(False, spans, err.subset, err.kind, "lazy")
-    except DuplicatePointError:
-        raise
-    return GeneralPositionReport(True, True, None, None, "lazy")
 
 
 def jitter_points(points, seed: int) -> PointSet:

@@ -24,6 +24,7 @@ validation, not performance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
@@ -38,7 +39,6 @@ from .geometry import (
     _exact_plane_signs,
     _lifted_planes,
     _unit_rows,
-    distance,
 )
 
 BRUTEFORCE_MAX_N = 40
@@ -300,7 +300,7 @@ def circumcenter(simplex) -> np.ndarray:
         raise DegenerateSimplexError("simplex is affinely dependent") from err
     center = pts[0] + sol
     dists = np.linalg.norm(pts - center, axis=1)
-    diam = max(distance(a, b) for a, b in combinations(pts, 2))
+    diam = max(math.dist(a, b) for a, b in combinations(pts, 2))
     if dists.max() - dists.min() > 1e-9 * diam:
         raise DegenerateSimplexError(
             "circumcenter system too ill-conditioned for a reliable center")
@@ -315,12 +315,12 @@ def bisector_pythagoras_check(x, y, p, rel_tol: float = 1e-9) -> bool:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
-    dxp = distance(x, p)
-    dyp = distance(y, p)
-    span = max(dxp, dyp, distance(x, y))
+    dxp = math.dist(x, p)
+    dyp = math.dist(y, p)
+    span = max(dxp, dyp, math.dist(x, y))
     if abs(dxp - dyp) > 1e-9 * max(span, 1e-300):
         raise GeometryError("p is not equidistant from x and y")
     a = 0.5 * (x + y)
     lhs = dxp ** 2
-    rhs = distance(x, a) ** 2 + distance(a, p) ** 2
+    rhs = math.dist(x, a) ** 2 + math.dist(a, p) ** 2
     return abs(lhs - rhs) <= rel_tol * max(lhs, rhs, 1e-300)

@@ -9,7 +9,8 @@ triangulation of the convex hull, and every interior ridge is strictly
 locally Delaunay. Such a triangulation is the unique Delaunay triangulation
 of the points. Where Qhull's cells pass every check but a few ridges are
 not locally Delaunay (Qhull splits facets it merged for precision in any
-order), bistellar flips repair those ridges and the certificate runs again.
+order), bistellar flips repair them on the certificate's ridge table,
+signing only the ridges they create.
 
 Otherwise -- k = 1, Qhull failing, or any check failing or meeting a zero
 sign where it needs a strict one -- the points are lifted to the paraboloid
@@ -44,7 +45,6 @@ from .geometry import (
     _plane_signs,
     _planes,
     affinely_independent_subset,
-    in_sphere,
     is_affinely_independent,
     orient,
 )
@@ -54,13 +54,12 @@ from .geometry import (
 class BuildStats:
     """How a triangulation was obtained.
 
-    backend is "qhull" when Qhull's cells, flipped where a ridge was not
-    Delaunay, passed the certificate; then facets_created counts the
-    certified cells and exact_fallbacks the signs the certificate resolved
-    exactly, summed over both runs where flips were needed. It is
-    "incremental" for the exact builder, where they count the hull facets
-    created and the side signs it resolved exactly, and for sets of at
-    most k+1 points, which need no hull.
+    backend is "qhull" when Qhull's cells passed the certificate, flipped
+    where a ridge was not Delaunay; then facets_created counts the certified
+    cells and exact_fallbacks the signs the certificate and the flips
+    resolved exactly. It is "incremental" for the exact builder, where they
+    count the hull facets created and the side signs it resolved exactly,
+    and for sets of at most k+1 points, which need no hull.
     """
 
     facets_created: int
@@ -346,30 +345,30 @@ def _sorted_rows(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return order, ranked[1:] == ranked[:-1]
 
 
-def _certify(coords: np.ndarray, cells) -> tuple[np.ndarray, int] | None:
-    """Check exactly that cells are the Delaunay triangulation of coords.
+@dataclass
+class _Ridges:
+    """The ridge table of cells that passed _check. Face f = c*(k+1) + j of
+    cells[c] omits its vertex j; opposite[f] is the face across it (-1 on
+    the hull boundary), and signs[f] the exact in-sphere sign (1 inside, 0
+    on, -1 outside) of the vertex across f against cells[c]'s circumsphere,
+    -1 on the boundary. exact counts the signs resolved in exact arithmetic.
+    """
+
+    cells: np.ndarray
+    opposite: np.ndarray
+    signs: np.ndarray
+    exact: int
+
+
+def _check(coords: np.ndarray, cells) -> _Ridges | None:
+    """Check exactly that cells triangulate the convex hull of coords.
 
     cells is an (m, k+1) vertex-index array from an untrusted source, for
-    2 <= k. Returns the cells with sorted rows in lexicographic order and the
-    number of signs resolved in exact arithmetic, or None if a check of
-    _check fails or an interior ridge is not strictly locally Delaunay.
-    """
-    checked = _check(coords, cells)
-    if checked is None or checked[2]:
-        return None
-    return checked[0], checked[1]
-
-
-def _check(coords: np.ndarray, cells) -> tuple[np.ndarray, int, list] | None:
-    """The certificate's checks, reporting the ridges that are not Delaunay.
-
-    Returns the cells with sorted rows in lexicographic order, the number of
-    signs resolved in exact arithmetic and the interior ridges (sorted vertex
-    tuples) whose opposite apex lies strictly inside the other cell's
-    circumsphere; or None if any other check fails or meets a zero sign
-    where it needs a strict one. With every sign exact, the checks are
-    (after Mehlhorn et al. 1999, "Checking geometric programs or
-    verification of geometric structures"):
+    2 <= k. Returns the ridge table, its cells' rows sorted and in
+    lexicographic order, or None if a check fails or meets a zero sign where
+    it needs a strict one. With every sign exact, the checks are (after
+    Mehlhorn et al. 1999, "Checking geometric programs or verification of
+    geometric structures"):
 
     (a) every point is a vertex and every cell has a nonzero orientation;
     (b) every ridge lies in at most two cells, and two cells sharing a ridge
@@ -396,9 +395,10 @@ def _check(coords: np.ndarray, cells) -> tuple[np.ndarray, int, list] | None:
     on both sides of one hyperplane. Such a polygon is convex, so it lies on
     the inner side of each edge line; hence K lies on the inner side of
     every boundary ridge, is their intersection and is convex, and by (a)
-    it is the convex hull of the points. Finally every interior ridge must
-    be strictly locally Delaunay, which makes the lifted cells a strictly
-    convex lower hull: the unique Delaunay triangulation.
+    it is the convex hull of the points. If moreover every sign is negative,
+    every interior ridge is strictly locally Delaunay, which makes the
+    lifted cells a strictly convex lower hull: the unique Delaunay
+    triangulation.
 
     Each cell's orientation and in-sphere signs come from one lifted
     hyperplane (geometry._lifted_planes); each interior ridge costs one dot
@@ -419,7 +419,6 @@ def _check(coords: np.ndarray, cells) -> tuple[np.ndarray, int, list] | None:
     # side of the ridge where orient(apex, ridge) = sigma * (-1)^j
     m = len(cells)
     ridges, apex = _faces(cells)
-    owner = np.repeat(np.arange(m), k + 1)
     side = np.repeat(sigma, k + 1) * np.tile((-1) ** np.arange(k + 1), m)
     order, same = _sorted_rows(ridges, n)
     if (same[1:] & same[:-1]).any():
@@ -470,100 +469,100 @@ def _check(coords: np.ndarray, cells) -> tuple[np.ndarray, int, list] | None:
     if (seen != side[bnd]).any():
         return None
 
-    # strictly locally Delaunay: b's apex strictly outside a's circumsphere
-    inside, e = _plane_insphere_signs(pts, h, sigma, owner[a], coords[apex[b]])
-    exact += e
-    if not inside.all():
-        return None
-    return cells, exact, [tuple(r) for r in ridges[a[inside > 0]].tolist()]
+    # b's apex against a's circumsphere: the sign of the lifted orientation
+    # of the ridge and both apexes, so a's apex against b's is the same
+    inside, e = _plane_insphere_signs(pts, h, sigma, a // (k + 1), coords[apex[b]])
+    opposite, signs = np.full((2, m * (k + 1)), -1)
+    opposite[a], opposite[b] = b, a
+    signs[a] = signs[b] = inside
+    return _Ridges(cells, opposite, signs, exact + e)
 
 
-def _flip_to_delaunay(coords: np.ndarray, cells: np.ndarray,
-                      ridges: list) -> np.ndarray | None:
-    """Lawson flips from a triangulation until its ridges are locally Delaunay.
+def _flip_to_delaunay(coords: np.ndarray, table: _Ridges) -> bool:
+    """Lawson flips on a ridge table from _check until no sign is positive.
 
-    ridges are the interior ridges known to fail. The k+2 vertices of the two
-    cells at a failing ridge have one affine dependence; the cells omitting a
-    vertex whose coefficient has the sign of the apexes' form one
-    triangulation of their hull, the cells omitting the others the second,
-    and a flip swaps the first for the second. A flip waits while some cell
-    of the first is missing. Returns the flipped cells, or None on a zero
-    sign or when no waiting ridge can be flipped. Each flip lowers the
-    lifted surface, so the loop ends; the result still has to pass _check.
+    At a face of cell c with a positive sign, c and the vertex v across it
+    make k+2 points with one affine dependence. The cells omitting a vertex
+    whose coefficient has v's sign triangulate their hull, and so do the
+    cells omitting the others; a flip swaps the first for the second. The
+    first are c and, for each other w of v's sign, the cell across c's face
+    omitting w if it omits w; while one is missing, the flip waits. The new
+    cell omitting w meets, at its face omitting x, the new cell omitting x,
+    or else what lay across the old cell omitting x at its face omitting w.
+    Returns False on a zero coefficient or when no waiting face can be
+    flipped, else True with the table edited in place, its cells sorted.
+
+    The flipped table is still certified. Both triangulations of a circuit
+    cover its hull once and have the same boundary faces, so the cells still
+    triangulate the convex hull, and only ridges of new cells change.
+    Lifted, the new cells are the lower hull of the circuit (lifted v lies
+    strictly below c's lifted hyperplane), and every point on the paraboloid
+    is a vertex of it; no coefficient is zero, so no new cell is flat. So
+    what (a)-(e) establish still holds, and only the new ridges need signs.
+    Each flip lowers the lifted surface, so the loop ends.
     """
     n, k = coords.shape
-    # cells are read in around a vertex when a flip first comes near it
-    flat = cells.ravel()
-    by_vertex = np.argsort(flat, kind="stable")
-    star = np.searchsorted(flat[by_vertex], np.arange(n + 1))
-    by_vertex //= k + 1
-    loaded: set[int] = set()
-    row_of: dict[tuple[int, ...], int] = {}  # original cells read in so far
-    alive: set[tuple[int, ...]] = set()  # read-in and new cells not flipped away
-    dropped: list[int] = []
-    at_ridge: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    d = k + 1
+    # face f omits the vertex cells.flat[f]; a cell flipped away becomes -1s
+    cells, opposite, signs = table.cells.copy(), table.opposite.copy(), table.signs.copy()
 
-    def faces(c):
-        return [c[:j] + c[j + 1:] for j in range(len(c))]
+    def across(c, w):
+        return int(opposite[c * d + cells[c].tolist().index(w)])
 
-    def add(c):
-        alive.add(c)
-        for r in faces(c):
-            at_ridge.setdefault(r, set()).add(c)
-
-    def load(v):
-        if v not in loaded:
-            loaded.add(v)
-            for i in by_vertex[star[v]:star[v + 1]].tolist():
-                c = tuple(cells[i].tolist())
-                if c not in row_of:
-                    row_of[c] = i
-                    add(c)
-
-    todo, waiting, progressed = list(ridges), [], False
+    todo = np.flatnonzero((signs > 0) & (opposite > np.arange(len(signs)))).tolist()
+    waiting, progressed = [], False
     while todo or waiting:
         if not todo:
             if not progressed:
-                return None
+                return False
             todo, waiting, progressed = waiting, [], False
-        ridge = todo.pop()
-        load(ridge[0])
-        pair = at_ridge.get(ridge, ())
-        if len(pair) != 2:
-            continue
-        c1, c2 = pair
-        (u,) = set(c1) - set(ridge)
-        (v,) = set(c2) - set(ridge)
-        inside = in_sphere(coords[list(c1)], coords[v])
-        if inside is Sign.ZERO:
-            return None
-        if inside is Sign.NEGATIVE:
-            continue
-        verts = tuple(sorted(ridge + (u, v)))
-        for w in verts:
-            load(w)
-        circuit = faces(verts)
-        lam = (_orient_signs(coords[np.array(circuit)])[0] * (-1) ** np.arange(k + 2)).tolist()
+        f = todo.pop()
+        c = f // d
+        if cells[c, 0] < 0 or signs[f] <= 0:
+            continue  # flipped away, or no longer failing
+        v = int(cells.flat[opposite[f]])
+        verts = sorted(cells[c].tolist() + [v])
+        circuit = [verts[:i] + verts[i + 1:] for i in range(k + 2)]
+        lam, e = _orient_signs(coords[np.array(circuit)])
+        table.exact += e
+        lam = (lam * (-1) ** np.arange(k + 2)).tolist()
         if 0 in lam:
-            return None
-        side = lam[verts.index(u)]
-        old = [c for c, s in zip(circuit, lam) if s == side]
-        if any(c not in alive for c in old):
-            waiting.append(ridge)
+            return False
+        side = lam[verts.index(v)]
+        old = {w: across(c, w) for w, s in zip(verts, lam) if s == side and w != v}
+        if any(g < 0 or cells.flat[g] != v for g in old.values()):
+            waiting.append(f)
             continue
-        for c in old:
-            alive.remove(c)
-            for r in faces(c):
-                at_ridge[r].discard(c)
-            if c in row_of:
-                dropped.append(row_of[c])
-        for c in (c for c, s in zip(circuit, lam) if s != side):
-            add(c)
-            todo += faces(c)
+        old = {w: g // d for w, g in old.items()} | {v: c}
+        first = len(cells)
+        new = {w: first + i for i, w in enumerate(w for w, s in zip(verts, lam) if s != side)}
+        made = np.array([circuit[verts.index(w)] for w in new])
+        links = [new[x] * d + circuit[verts.index(x)].index(w) if x in new
+                 else across(old[x], w) for w in new for x in circuit[verts.index(w)]]
+        cells = np.concatenate([cells, made])
+        cells[list(old.values())] = -1
+        opposite = np.concatenate([opposite, links])
+        signs = np.concatenate([signs, np.full(len(links), -1)])
+        # one face per interior ridge of the new cells
+        faces = np.arange(first * d, len(opposite))
+        other = opposite[faces]
+        faces = faces[(other > faces) | ((0 <= other) & (other < first * d))]
+        h, sigma, e = _lifted_planes(coords[made])
+        inside, e2 = _plane_insphere_signs(coords[made], h, sigma, faces // d - first,
+                                           coords[cells.flat[opposite[faces]]])
+        table.exact += e + e2
+        opposite[opposite[faces]] = faces
+        signs[faces] = signs[opposite[faces]] = inside
+        todo += faces[inside > 0].tolist()
         progressed = True
-    created = sorted(c for c in alive if c not in row_of)
-    return np.concatenate([np.delete(cells, dropped, axis=0),
-                           np.array(created, dtype=np.int64).reshape(-1, k + 1)])
+
+    live = np.flatnonzero(cells[:, 0] >= 0)
+    live = live[_sorted_rows(cells[live], n)[0]]
+    faces = (live[:, None] * d + np.arange(d)).ravel()
+    renum = np.full(len(opposite) + 1, -1)  # its last entry maps -1 to -1
+    renum[faces] = np.arange(len(faces))
+    table.cells, table.opposite, table.signs = cells[live], renum[opposite[faces]], signs[faces]
+    return True
 
 
 def _qhull_delaunay(ps: PointSet) -> tuple[np.ndarray, BuildStats] | None:
@@ -578,19 +577,15 @@ def _qhull_delaunay(ps: PointSet) -> tuple[np.ndarray, BuildStats] | None:
         proposed = qhull_delaunay(ps.coords - ps.coords.mean(axis=0)).simplices
     except qhull_error:
         return None
-    checked = _check(ps.coords, proposed)
-    exact = 0
-    if checked is not None and checked[2]:
+    table = _check(ps.coords, proposed)
+    if table is None or not table.signs.all():
+        return None  # a failed check or a zero sign: the builder decides
+    if (table.signs > 0).any():
         # Qhull merges facets of nearly cospherical points and splits them
         # into cells in any order, so a few ridges may not be Delaunay
-        cells, exact, failing = checked
-        flipped = _flip_to_delaunay(ps.coords, cells, failing)
-        checked = None if flipped is None else _check(ps.coords, flipped)
-    if checked is None or checked[2]:
-        return None
-    cells, e, _ = checked
-    exact += e
-    return cells, BuildStats(len(cells), exact, "qhull")
+        if not _flip_to_delaunay(ps.coords, table) or not table.signs.all():
+            return None
+    return table.cells, BuildStats(len(table.cells), table.exact, "qhull")
 
 
 def delaunay(points, *, insertion_seed: int = 0) -> DelaunayGraph:

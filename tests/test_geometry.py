@@ -12,12 +12,9 @@ from delo import (
     GeometryError,
     PointSet,
     Sign,
-    check_general_position,
-    distance,
     in_sphere,
     in_sphere_many,
     jitter_points,
-    lift,
     orient,
 )
 from delo.geometry import (
@@ -266,38 +263,6 @@ def test_insphere_many_refuses_bad_queries():
             in_sphere(UNIT_TRI, bad)
 
 
-# --- lift / distance ---------------------------------------------------------
-
-def test_lift_examples():
-    assert np.array_equal(lift((0, 0)), [0, 0, 0])
-    assert np.array_equal(lift((3, 4)), [3, 4, 25])
-    assert np.array_equal(lift((1, 1, 1)), [1, 1, 1, 3])
-
-
-def test_lift_overflow():
-    with pytest.raises(OverflowError):
-        lift((1e200, 1e200))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=5))
-def test_lift_last_coordinate_is_exact_square_sum(cs):
-    lifted = lift(cs)
-    assert lifted[-1] == sum(c * c for c in cs)
-    assert lifted[-1] == pytest.approx(distance(cs, [0] * len(cs)) ** 2)
-
-
-def test_distance_examples():
-    assert distance((0, 0), (3, 4)) == 5.0
-    assert distance((1, 2), (1, 2)) == 0.0
-    assert distance((1, 1, 1, 1), (0, 0, 0, 0)) == 2.0
-
-
-def test_distance_dimension_mismatch():
-    with pytest.raises(GeometryError):
-        distance((0, 0), (1, 2, 3))
-
-
 # --- PointSet ----------------------------------------------------------------
 
 def test_pointset_rejects_duplicates():
@@ -324,54 +289,6 @@ def test_pointset_is_immutable():
     ps = PointSet(np.array([[0.0, 0], [1, 1]]))
     with pytest.raises(ValueError):
         ps.coords[0, 0] = 5.0
-
-
-# --- general position --------------------------------------------------------
-
-def test_general_position_ok_exhaustive():
-    ps = PointSet(np.array([(0, 0), (1, 0), (0, 1), (5, 5.0)]))
-    rep = check_general_position(ps, exhaustive=True)
-    assert rep.in_general_position and rep.spans and rep.violation is None
-
-
-def test_general_position_unit_square_cocircular():
-    ps = PointSet(np.array([(0, 0), (1, 0), (0, 1), (1, 1.0)]))
-    rep = check_general_position(ps, exhaustive=True)
-    assert not rep.in_general_position
-    assert rep.kind == "cospherical"
-    assert rep.violation == (0, 1, 2, 3)
-
-
-def test_general_position_collinear_triple_is_fine():
-    # three collinear points do not spoil general position of the set
-    ps = PointSet(np.array([(0, 0), (1, 1), (2, 2), (3, 0.0)]))
-    rep = check_general_position(ps, exhaustive=True)
-    assert rep.in_general_position
-
-
-def test_general_position_nonspanning():
-    ps = PointSet(np.array([(0.0, 0), (1, 1), (2, 2), (3, 3)]))
-    rep = check_general_position(ps, exhaustive=True)
-    assert not rep.in_general_position and not rep.spans
-    assert rep.kind == "affine_span"
-
-
-def test_general_position_exhaustive_guard():
-    ps = random_pointset(0, 25, 2)
-    with pytest.raises(GeometryError):
-        check_general_position(ps, exhaustive=True)
-
-
-def test_general_position_lazy_matches_exhaustive_on_square():
-    ps = PointSet(np.array([(0, 0), (1, 0), (0, 1), (1, 1.0)]))
-    lazy = check_general_position(ps)
-    assert not lazy.in_general_position and lazy.kind == "cospherical"
-    assert lazy.mode == "lazy"
-
-
-def test_general_position_lazy_ok_random():
-    rep = check_general_position(random_pointset(3, 30, 3))
-    assert rep.in_general_position
 
 
 # --- jitter ------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -13,7 +14,6 @@ from delo import (
     GeometryError,
     Sign,
     delaunay,
-    distance,
     in_sphere_many,
     orient,
 )
@@ -225,14 +225,14 @@ def test_witness_guards():
 
 def test_witness_properties_on_random_set(rng):
     pts = rng.uniform(-1, 1, (12, 2))
-    diam = max(distance(a, b) for a, b in combinations(pts, 2))
+    diam = max(math.dist(a, b) for a, b in combinations(pts, 2))
     edges = delaunay(pts).edge_set()
     for i, j in combinations(range(12), 2):
         res = adjacent_witness(pts, i, j)
         assert res.adjacent == ((i, j) in edges)
         if res.adjacent:
             p = res.witness
-            di, dj = distance(p, pts[i]), distance(p, pts[j])
+            di, dj = math.dist(p, pts[i]), math.dist(p, pts[j])
             assert abs(di - dj) <= 1e-9 * max(diam, di)
             others = np.linalg.norm(pts - p, axis=1)
             assert others.min() >= di - 1e-9 * max(diam, di)
@@ -369,8 +369,8 @@ def _reference_adjacent(pts: np.ndarray, i: int, j: int) -> bool:
 def _assert_witness(pts, i, j, p):
     """p is on the bisector of i and j and no sample point is closer, within
     the witness tolerance."""
-    diam = max(distance(a, b) for a, b in combinations(pts, 2))
-    di, dj = distance(p, pts[i]), distance(p, pts[j])
+    diam = max(math.dist(a, b) for a, b in combinations(pts, 2))
+    di, dj = math.dist(p, pts[i]), math.dist(p, pts[j])
     assert abs(di - dj) <= 1e-9 * max(diam, di)
     assert np.linalg.norm(pts - p, axis=1).min() >= di - 1e-9 * max(diam, di)
 

@@ -30,7 +30,6 @@ from delo.geometry import (
 )
 from delo.triangulation import (
     _HullBuilder,
-    _certify,
     _check,
     _flip_to_delaunay,
     _sorted_rows,
@@ -152,6 +151,13 @@ def test_small_affinely_dependent_set_refused():
     with pytest.raises(GeneralPositionError) as exc:
         delaunay([(0, 0), (1, 1), (2, 2)])
     assert exc.value.kind == "affine_span"
+
+
+def test_collinear_set_refused_with_every_point():
+    # more than k+1 points on a line: Qhull declines, and the builder refuses
+    with pytest.raises(GeneralPositionError) as exc:
+        delaunay([(0.0, 0), (1, 1), (2, 2), (3, 3)])
+    assert (exc.value.kind, exc.value.subset) == ("affine_span", (0, 1, 2, 3))
 
 
 def test_cocircular_refused_with_subset():
@@ -280,16 +286,23 @@ def _jittered_grid(shape, seed):
     return jitter_points(grid[rng.permutation(len(grid))], seed)
 
 
+def _certify(coords, cells):
+    """The certified cells, sorted, if the certificate passes them with every
+    in-sphere sign negative; None otherwise."""
+    table = _check(np.asarray(coords, dtype=float), cells)
+    return None if table is None or (table.signs >= 0).any() else table.cells.tolist()
+
+
 def _certified_cells(pts):
-    certified = _certify(np.asarray(pts, dtype=float), delaunay(pts).simplices)
+    certified = _certify(pts, delaunay(pts).simplices)
     assert certified is not None
-    return certified[0].tolist()
+    return certified
 
 
 def test_certificate_rejects_non_delaunay_diagonal():
     quad = np.array([(0, 0), (4, 0), (5, 3), (0, 1)], dtype=float)
     assert _certify(quad, [(0, 1, 2), (0, 2, 3)]) is None
-    assert _certify(quad, [(0, 1, 3), (1, 2, 3)])[0].tolist() == [[0, 1, 3], [1, 2, 3]]
+    assert _certify(quad, [(0, 1, 3), (1, 2, 3)]) == [[0, 1, 3], [1, 2, 3]]
 
 
 def test_certificate_rejects_dropped_and_duplicated_cells():
@@ -365,7 +378,7 @@ def test_certificate_rejects_boundary_folded_over_a_slit(monkeypatch, k):
     monkeypatch.setattr(triangulation, "_plane_orient_signs", plane_orient)
     monkeypatch.setattr(triangulation, "_plane_insphere_signs",
                         lambda *args: insphere.append(args))
-    assert _certify(pts, cells) is None
+    assert _check(pts, cells) is None
     convex, _ = signs  # (d)'s signs, then (e)'s boundary sides
     assert (convex == 0).any()
     assert not insphere
@@ -395,19 +408,49 @@ def _unflip(coords, cells, ridge):
     return sorted((set(cells) - old) | {c for c, s in zip(circuit, lam) if s != side})
 
 
+def _flipped_table(coords, cells):
+    """The certificate's table of cells that fail only the Delaunay check,
+    flipped, after checking that it equals the table the full certificate
+    makes of the flipped cells."""
+    table = _check(coords, cells)
+    assert table is not None and (table.signs > 0).any() and table.signs.all()
+    assert _flip_to_delaunay(coords, table)
+    fresh = _check(coords, table.cells)
+    assert fresh is not None
+    for field in ("cells", "opposite", "signs"):
+        assert np.array_equal(getattr(table, field), getattr(fresh, field))
+    return table
+
+
+def _flips_restore(coords, cells, want):
+    table = _flipped_table(coords, cells)
+    assert (table.signs < 0).all()
+    assert tuple(map(tuple, table.cells.tolist())) == want
+
+
 def test_flips_repair_non_delaunay_diagonal():
     quad = np.array([(0, 0), (4, 0), (5, 3), (0, 1)], dtype=float)
-    cells, _, failing = _check(quad, [(0, 1, 2), (0, 2, 3)])
-    assert failing == [(0, 2)]
-    flipped = _flip_to_delaunay(quad, cells, failing)
-    assert _certify(quad, flipped)[0].tolist() == [[0, 1, 3], [1, 2, 3]]
+    table = _check(quad, [(0, 1, 2), (0, 2, 3)])
+    # face 1 of (0, 1, 2) and face 2 of (0, 2, 3) are the ridge (0, 2)
+    assert table.opposite.tolist() == [-1, 5, -1, -1, -1, 1]
+    assert table.signs.tolist() == [-1, 1, -1, -1, -1, 1]
+    _flips_restore(quad, [(0, 1, 2), (0, 2, 3)], ((0, 1, 3), (1, 2, 3)))
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+def test_flips_sign_both_faces_of_a_new_ridge_zeros_included():
+    # flipping (0, 4) makes (0, 2) a ridge between the cells of a cocircular
+    # square: the flips leave its zero sign, on both faces, to the caller
+    pts = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (2, 0.5)])
+    table = _flipped_table(pts, [(0, 1, 4), (0, 2, 4), (0, 2, 3)])
+    assert table.cells.tolist() == [[0, 1, 2], [0, 2, 3], [1, 2, 4]]
+    assert table.signs.tolist() == [-1, 0, -1, -1, -1, 0, -1, -1, -1]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_flips_undo_wrong_flips(k):
     # a 2 -> k flip of a Delaunay ridge makes a triangulation that fails only
     # the Delaunay check; in 3-D and up the repair needs k -> 2 flips
-    ps = random_pointset(40 + k, {2: 30, 3: 25, 4: 20}[k], k)
+    ps = random_pointset(40 + k, {2: 30, 3: 25}.get(k, 20), k)
     want = delaunay(ps).simplices
     undone = 0
     for ridge in _interior_ridges(want):
@@ -415,14 +458,49 @@ def test_flips_undo_wrong_flips(k):
         if cells is None:
             continue
         assert _certify(ps.coords, cells) is None
-        checked = _check(ps.coords, cells)
-        assert checked is not None and checked[2]
-        flipped = _flip_to_delaunay(ps.coords, checked[0], checked[2])
-        assert tuple(map(tuple, _certify(ps.coords, flipped)[0].tolist())) == want
+        _flips_restore(ps.coords, cells, want)
         undone += 1
         if undone == 5:
             break
     assert undone == 5
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_flips_wait_for_a_cell_another_flip_restores(monkeypatch, k):
+    # two chained 2 -> k unflips, the second taking one of the first's new
+    # cells: the first circuit's k -> 2 flip has to wait for that cell
+    # until the second circuit is flipped back
+    ps = random_pointset(40 + k, {3: 25, 4: 20}[k], k)
+    want = delaunay(ps).simplices
+    orient_signs, lifted_planes = triangulation._orient_signs, triangulation._lifted_planes
+    circuits, flips = [], []
+    waited = 0
+    for r1 in _interior_ridges(want):
+        first = _unflip(ps.coords, want, r1)
+        if first is None:
+            continue
+        made = set(first) - set(want)
+        for r2 in _interior_ridges(first):
+            if sum(set(r2) <= set(c) for c in made) != 1:
+                continue
+            cells = _unflip(ps.coords, first, r2)
+            if cells is None:
+                continue
+            table = _check(ps.coords, cells)
+            circuits.clear()
+            flips.clear()
+            with monkeypatch.context() as m:
+                m.setattr(triangulation, "_orient_signs",
+                          lambda *args: circuits.append(1) or orient_signs(*args))
+                m.setattr(triangulation, "_lifted_planes",
+                          lambda *args: flips.append(1) or lifted_planes(*args))
+                assert _flip_to_delaunay(ps.coords, table)
+            # each circuit signed is flipped, unless it waits
+            waited += len(circuits) > len(flips)
+            _flips_restore(ps.coords, cells, want)
+            if waited == 3:
+                return
+    pytest.fail(f"only {waited} chained unflips made a flip wait")
 
 
 def _benchmark_grids(seed):
@@ -594,8 +672,7 @@ def test_certificate_and_brute_force_need_no_lu_determinant(monkeypatch):
     assert bruteforce_simplices(ps)
 
     quad = np.array([(0, 0), (4, 0), (5, 3), (0, 1)], dtype=float)
-    flipped = _flip_to_delaunay(quad, np.array([(0, 1, 2), (0, 2, 3)]), [(0, 2)])
-    assert _certify(quad, flipped)[0].tolist() == [[0, 1, 3], [1, 2, 3]]
+    _flips_restore(quad, [(0, 1, 2), (0, 2, 3)], ((0, 1, 3), (1, 2, 3)))
     assert orient(quad[:3]) is Sign.POSITIVE
     assert in_sphere_many(quad[:3], quad[3:]).tolist() == [1]
     assert is_affinely_independent(quad[:3])
@@ -604,7 +681,7 @@ def test_certificate_and_brute_force_need_no_lu_determinant(monkeypatch):
     monkeypatch.setattr(triangulation, "_qhull_delaunay", lambda ps: None)
     g = delaunay(ps)
     assert g.stats.backend == "incremental"
-    assert g.cells.tolist() == certified[0].tolist()
+    assert g.cells.tolist() == certified
 
 
 def _flat_hull_edge(n, seed):
