@@ -13,15 +13,23 @@ runs first alternating from pair to pair, each side with its own
 ``perfbench`` and ``src``. The output file holds, per workload and
 end-to-end metric, both sides' runs, medians and quartiles, the ratio of
 the medians, how many pairs the change won (ties count for neither),
-whether every run was correct, and the provenance of every run. Run it on
-an otherwise idle machine: it takes about 2 x seeds x workloads x
-run_seconds.
+whether every run was correct, and the provenance of every run.
+
+Each workload also gets one ``--trace 1`` run per side on the held-out seed
+of ``perfbench/baseline.json``: its per-layer metrics (medians over the
+traced passes), and whether its output hash equals the baseline's. Last,
+the Tier-1 suite runs once per side, timed, with its summary line and its
+slowest tests as pytest's ``--durations`` prints them. Run it on an
+otherwise idle machine: it takes about 2 x (seeds + 1) x workloads x
+run_seconds, plus two Tier-1 runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
@@ -32,14 +40,50 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced benchmark run in a checkout: its provenance and result."""
+def run_side(tree: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
+    """One benchmark run in a checkout: its provenance and result."""
     out = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True)
     *_, prov, result = out.stdout.strip().splitlines()
     return {**json.loads(prov)["provenance"], **json.loads(result)}
+
+
+def traced_heldout(trees: dict[str, Path], workload: str, seed: int, seconds: int,
+                   baseline_sha: str) -> dict:
+    """One traced run per side on the held-out seed: per-layer metrics, and
+    whether the output hash is the baseline's."""
+    out = {"seed": seed}
+    for side, tree in trees.items():
+        r = run_side(tree, workload, seed, seconds, trace=1)
+        out[side] = {"correct": r["correct"], "output_sha256": r["output_sha256"],
+                     "output_sha256_is_baseline": r["output_sha256"] == baseline_sha,
+                     "git_commit": r["git_commit"], "passes": r["passes"],
+                     "metrics": {m: v["value"] for m, v in r["metrics"].items()}}
+        print(f"{workload} held-out traced {side}: {json.dumps(out[side]['metrics'])}",
+              file=sys.stderr)
+    return out
+
+
+def tier1(tree: Path) -> dict:
+    """One timed Tier-1 run in a checkout: wall time, summary line and the
+    slowest tests' durations."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "--continue-on-collection-errors"],
+                         cwd=tree, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = out.stdout.strip().splitlines()
+    durations = {}
+    for line in lines:
+        m = re.fullmatch(r"([\d.]+)s (call|setup|teardown) +(\S+)", line.strip())
+        if m:
+            durations[f"{m[3]} ({m[2]})"] = float(m[1])
+    return {"wall_s": wall, "exit_code": out.returncode,
+            "summary": lines[-1] if lines else "", "durations_s": durations}
 
 
 def summarize(runs: dict[str, list[dict]], declared: list[dict]) -> dict:
@@ -69,6 +113,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    baseline = json.loads((ROOT / "perfbench" / "baseline.json").read_text())
     seconds = benchmark["run_seconds"]
     seeds = [int(s) for s in args.seeds.split(",")]
     parent = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent],
@@ -103,7 +148,12 @@ def main(argv=None) -> int:
                                        "python": r["python"], "numpy": r["numpy"],
                                        "scipy": r["scipy"], "platform": r["platform"]}
                                       for r in rs] for side, rs in runs.items()},
+                "traced_heldout": traced_heldout(
+                    trees, workload, baseline["heldout_seed"], seconds,
+                    baseline["workloads"][workload]["heldout_trace1"]["output_sha256"]),
             }
+        report["tier1"] = {side: tier1(tree) for side, tree in trees.items()}
+        print(f"tier-1: {json.dumps(report['tier1'])}", file=sys.stderr)
     report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     args.output.write_text(json.dumps(report, indent=1) + "\n")
     return 0

@@ -139,20 +139,33 @@ def _laplace_tables(r: int):
     return levels, np.array(last), (-1) ** (r + np.arange(r + 1))
 
 
-def _cofactors(rows: np.ndarray) -> np.ndarray:
+def _cofactors(rows, parents=None) -> np.ndarray:
     """The r+1 cofactors h of each r x (r+1) matrix of an (m, r, r+1) batch.
 
     h_j is (-1)^(r+j) times the minor without column j, so h . x is the
     determinant of the matrix with x appended as its last row. A Laplace
-    expansion along one row per level, vectorised over the column subsets.
-    On floats with entries at most 1 in magnitude, _cofactor_bound bounds
-    its error; on an object array of Python ints it is exact.
+    expansion along one row per level, vectorised over the column subsets:
+    level t turns the minors of rows 0..t-1 into those of rows 0..t. On
+    floats with entries at most 1 in magnitude, _cofactor_bound bounds its
+    error; on an object array of Python ints it is exact.
+
+    Level t reads no row below row t, so matrices with the same first rows
+    can share those levels. In this prefix form, rows and parents are lists
+    of r arrays: rows[t] holds row t of each distinct (t+1)-row prefix, and
+    parents[t] the position at level t-1 of the t-row prefix it extends
+    (parents[0] is None: the empty prefix is one). h is that of the last
+    level's matrices, bit for bit as if each were expanded alone; a batch is
+    the case where no prefix is shared.
     """
-    levels, last, signs = _laplace_tables(rows.shape[1])
-    minors = np.ones((len(rows), 1), dtype=rows.dtype)
-    for t, (cols, down, expand) in enumerate(levels):
-        row = rows[:, t]
-        minors = sum(e * row[:, c] * minors[:, d] for e, c, d in zip(expand, cols.T, down.T))
+    if parents is None:
+        minors = np.ones((len(rows), 1), dtype=rows.dtype)
+        rows, parents = rows.transpose(1, 0, 2), [None] * rows.shape[1]
+    else:
+        minors = np.ones((1, 1), dtype=rows[0].dtype)
+    levels, last, signs = _laplace_tables(len(rows))
+    for (cols, down, expand), row, parent in zip(levels, rows, parents):
+        below = minors if parent is None else minors[parent]
+        minors = sum(e * row[:, c] * below[:, d] for e, c, d in zip(expand, cols.T, down.T))
     return minors[:, last] * signs
 
 
@@ -302,19 +315,28 @@ def orient(simplex) -> Sign:
 
 def _lifted_planes(simplices: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """One lifted hyperplane h per simplex of an (m, k+1, k) batch (_planes),
-    with the exact orientation signs: those of h_k, or where h_k is within
-    the bound, the exact sign. Returns h, the signs and how many of them
-    went to exact arithmetic.
+    with the exact orientation signs (_lifted_orients). Returns h, the signs
+    and how many of them went to exact arithmetic.
     """
-    k = simplices.shape[2]
     h = _planes(simplices)
+    return (h, *_lifted_orients(h, simplices.__getitem__))
+
+
+def _lifted_orients(h: np.ndarray, simplices) -> tuple[np.ndarray, int]:
+    """Exact orientation signs of simplices from their lifted hyperplanes h:
+    those of h_k, or where h_k is within the bound, the exact sign. Only
+    there are the points needed: simplices(unsure) gives them, (u, k+1, k)
+    for a boolean mask over the rows of h. Also returns how many signs went
+    to exact arithmetic.
+    """
+    k = h.shape[1] - 1
     signs = np.sign(h[:, k]).astype(np.int64)
     unsure = np.abs(h[:, k]) <= _cofactor_bound(k + 1, 2.0 * (k + 3))
     if unsure.any():
-        rest = simplices[unsure]
+        rest = simplices(unsure)
         signs[unsure] = _exact_plane_signs(rest[:, 1:], np.arange(len(rest)),
                                            rest[:, 0]) * (-1) ** k
-    return h, signs, int(unsure.sum())
+    return signs, int(unsure.sum())
 
 
 def _plane_insphere_signs(simplices: np.ndarray, h: np.ndarray, orients: np.ndarray,

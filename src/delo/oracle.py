@@ -1,13 +1,21 @@
-"""Slow, independent references for Delaunay adjacency.
+"""Independent references for Delaunay adjacency.
 
 Two routes that must agree with the triangulation. Exhaustive
-empty-circumsphere enumeration over all (k+1)-subsets lifts each subset to
-one hyperplane and tests every sample point with a dot product; a sign
-within the forward error bound is decided by the same expansion on exact
-integers, one exact hyperplane per subset, so every sign is the true one.
-It shares that kernel (geometry._lifted_planes and _exact_plane_signs) with
-the triangulation's certificate, but not the enumeration: it never sees the
-cells it is compared with.
+empty-circumsphere enumeration goes over all (k+1)-subsets one first
+vertex a at a time: in combinations order the subsets (a, i_1, ..., i_k)
+are contiguous, and their rows are the lifted differences x_i - x_a,
+|x_i - x_a|^2, built once for the set. Each subset's lifted hyperplane
+comes from the certificate's cofactor expansion (geometry._cofactors), in
+its prefix form: level t reads only rows 1..t, so it runs once per
+distinct prefix (i_1, ..., i_t), and only the last level once per subset.
+The hyperplanes are bit for bit those of geometry._lifted_planes. Every
+sample point is then tested with one dot product per subset, all of a's
+subsets against all points in one einsum, in runs of a bounded number of
+subsets. A sign within the forward error bound is decided by the same
+expansion on exact integers (geometry._exact_plane_signs), one exact
+hyperplane per subset that needs one, so every sign is the true one. It
+shares that kernel with the triangulation's certificate, but not the
+enumeration: it never sees the cells it is compared with.
 
 A linear-program feasibility test decides a single pair (is there a point
 equidistant from both that no other sample point beats?); it shares
@@ -18,31 +26,34 @@ tableau: one column per nonbasic variable, not one per variable. The LPs
 run in lockstep, a batch of consecutive pairs at a time. The module keeps
 the last point set it was given, validated, with the batches solved for
 it; a call whose set has the same shape and float64 bytes reuses them, and
-any other set replaces them. Sizes are guarded; these exist for
-validation, not performance.
+any other set replaces them.
+
+Both are guarded in size (n <= 40 and n <= 200): brute force grows like
+n^(k+2), and they exist to check the triangulation on small sets.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
 from .geometry import (
-    DegenerateSimplexError,
     GeneralPositionError,
     GeometryError,
     PointSet,
     _cofactor_bound,
+    _cofactors,
     _exact_plane_signs,
-    _lifted_planes,
+    _lifted_orients,
+    _rows,
     _unit_rows,
 )
 
 BRUTEFORCE_MAX_N = 40
 WITNESS_MAX_N = 200
+_BLOCK_ENTRIES = 2 ** 17  # signs D(q) one run of brute-force subsets may take
 
 
 @dataclass(frozen=True)
@@ -55,6 +66,62 @@ def _as_pointset(points) -> PointSet:
     return points if isinstance(points, PointSet) else PointSet(np.asarray(points, dtype=np.float64))
 
 
+def _lifted_rows(coords: np.ndarray) -> np.ndarray:
+    """lifted[a, q] = (x_q - x_a, |x_q - x_a|^2), the rows geometry._planes
+    builds, scaled alike to entries below 1."""
+    n, k = coords.shape
+    lifted = _rows(np.broadcast_to(coords, (n, n, k)), coords, True)
+    if not np.isfinite(lifted).all():  # the error bound needs finite entries
+        raise OverflowError("squared distance overflows a float")
+    return _unit_rows(lifted)
+
+
+def _prefix_tree(n: int, k: int, a: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The subsets (a, i_1, ..., i_k), a < i_1 < ... < i_k < n, as the tree
+    of their prefixes: level t lists each distinct (i_1, ..., i_(t+1)) that
+    some subset extends, in combinations order, by its last vertex i_(t+1)
+    and the position at level t-1 of its parent (i_1, ..., i_t). The last
+    level lists the subsets themselves.
+    """
+    first_level = np.arange(a + 1, n - k + 1)
+    last, parent = [first_level], [np.zeros_like(first_level)]
+    for t in range(1, k):
+        children = n - k + t - last[-1]  # i_(t+1) = i_t + 1, ..., n - k + t
+        up = np.repeat(np.arange(len(children)), children)
+        first = np.cumsum(children) - children  # position of each parent's first child
+        last.append(last[-1][up] + 1 + np.arange(len(up)) - first[up])
+        parent.append(up)
+    return last, parent
+
+
+def _base_planes(lifted: np.ndarray, a: int, k: int, block: int):
+    """The subsets with first vertex a and their lifted hyperplanes, in
+    combinations order and in runs of at most `block` subsets: yields
+    (subsets (B, k+1), h (B, k+1)).
+
+    The rows of subset (a, i_1, ..., i_k) are lifted[a, i_1..i_k], so level t
+    of _cofactors is shared by the subsets with the same i_1, ..., i_(t+1):
+    each run expands every prefix it needs once (a prefix that two runs
+    share, once in each). h is bit for bit geometry._lifted_planes of the
+    subsets' points, as lifted holds the rows that builds (_lifted_rows).
+    """
+    last, parent = _prefix_tree(len(lifted), k, a)
+    for lo in range(0, len(last[-1]), block):
+        hi = min(lo + block, len(last[-1]))
+        # the run's prefixes at each level are one contiguous range, [s[t], e[t])
+        s, e = [0] * (k - 1) + [lo], [0] * (k - 1) + [hi]
+        for t in range(k - 1, 0, -1):
+            s[t - 1], e[t - 1] = parent[t][s[t]], parent[t][e[t] - 1] + 1
+        h = _cofactors([lifted[a, last[t][s[t]:e[t]]] for t in range(k)],
+                       [None] + [parent[t][s[t]:e[t]] - s[t - 1] for t in range(1, k)])
+        subsets = np.empty((hi - lo, k + 1), dtype=np.int64)
+        subsets[:, 0], at = a, np.arange(lo, hi)
+        for t in range(k - 1, -1, -1):
+            subsets[:, t + 1] = last[t][at]
+            at = parent[t][at]
+        yield subsets, h
+
+
 def bruteforce_simplices(points) -> list[tuple[int, ...]]:
     """All (k+1)-subsets whose circumsphere is empty of other sample points."""
     ps = _as_pointset(points)
@@ -64,42 +131,40 @@ def bruteforce_simplices(points) -> list[tuple[int, ...]]:
     if n > BRUTEFORCE_MAX_N:
         raise GeometryError(f"brute-force oracle is guarded to n <= {BRUTEFORCE_MAX_N}")
     coords = ps.coords
-    subsets = np.fromiter(chain.from_iterable(combinations(range(n), k + 1)),
-                          dtype=np.int64).reshape(-1, k + 1)
-    # lifted[a, q] = (x_q - x_a, |x_q - x_a|^2), rows scaled exactly to entries below 1
-    diffs = coords[None] - coords[:, None]
-    lifted = np.concatenate([diffs, np.einsum("aqi,aqi->aq", diffs, diffs)[..., None]], axis=2)
-    if not np.isfinite(lifted).all():  # the error bound below needs finite entries
-        raise OverflowError("squared distance overflows a float")
-    lifted = _unit_rows(lifted)
-    # A subset's lifted hyperplane h (geometry._lifted_planes, the kernel the
-    # certificate uses) makes D(q) = h . lifted[p_0, q] the lifted
-    # orientation of the subset and q, and q is strictly inside the
+    lifted = _lifted_rows(coords)
+    # A subset's lifted hyperplane h makes D(q) = h . lifted[p_0, q] the
+    # lifted orientation of the subset and q, and q is strictly inside the
     # circumsphere iff o D(q) < 0 for the orientation o. D is within
     # _cofactor_bound of its exact value, as the rows of h and lifted[p_0, q]
     # are built alike.
     bound = _cofactor_bound(k + 1, 2.0 * (k + 3))
     accepted, spans = [], False
-    block = max(1, 2 ** 17 // n)
-    for start in range(0, len(subsets), block):
-        sub = subsets[start:start + block]
-        pts = coords[sub]
-        h, orients, _ = _lifted_planes(pts)
-        dets = np.einsum("bj,bqj->bq", h, lifted[sub[:, 0]])
-        inside = -np.sign(dets).astype(np.int64) * orients[:, None]
-        skip = np.zeros(dets.shape, dtype=bool)  # members, and every q of a flat subset
-        np.put_along_axis(skip, sub, True, axis=1)
-        skip[orients == 0] = True
-        r, q = np.nonzero((np.abs(dets) <= bound) & ~skip)
-        inside[r, q] = -_exact_plane_signs(pts, r, coords[q]) * orients[r]
-        inside[skip] = -1
-        zeros = np.argwhere(inside == 0)
-        if len(zeros):
-            subset = tuple(sorted(sub[zeros[0, 0]].tolist() + [int(zeros[0, 1])]))
-            raise GeneralPositionError("cospherical", subset,
-                                       f"points {subset} lie on a common sphere")
-        spans |= bool(orients.any())
-        accepted += sub[(orients != 0) & (inside < 0).all(axis=1)].tolist()
+    block = max(1, _BLOCK_ENTRIES // n)
+    for a in range(n - k):
+        for sub, h in _base_planes(lifted, a, k, block):
+            orients, _ = _lifted_orients(h, lambda rows: coords[sub[rows]])
+            # o D(q) for every q at once, by einsum: `@` would go to BLAS,
+            # which may run threaded for more CPU time and no less wall time
+            dets = np.einsum("bj,qj->bq", h * orients[:, None], lifted[a])
+            # members and flat subsets are decided without D
+            ar = np.arange(len(sub))[:, None]
+            near = np.abs(dets) <= bound
+            near[ar, sub] = False
+            near[orients == 0] = False
+            outside = dets > 0
+            if near.any():
+                r, q = np.nonzero(near)
+                used, which = np.unique(r, return_inverse=True)
+                signs = _exact_plane_signs(coords[sub[used]], which, coords[q]) * orients[r]
+                if not signs.all():  # the first zero, in combinations order
+                    z = int(np.argmin(np.abs(signs)))
+                    subset = tuple(sorted(sub[r[z]].tolist() + [int(q[z])]))
+                    raise GeneralPositionError("cospherical", subset,
+                                               f"points {subset} lie on a common sphere")
+                outside[r, q] = signs > 0
+            outside[ar, sub] = True
+            spans |= bool(orients.any())
+            accepted += sub[(orients != 0) & outside.all(axis=1)].tolist()
     if not spans:
         raise GeneralPositionError("affine_span", tuple(range(n)),
                                    "points do not span the ambient space")
@@ -285,42 +350,3 @@ def adjacent_witness(points, i: int, j: int) -> WitnessResult:
     if outcome[pos] == INFEASIBLE:
         return WitnessResult(False, None)
     return WitnessResult(True, witness[pos].copy())
-
-
-def circumcenter(simplex) -> np.ndarray:
-    """The point equidistant from all k+1 affinely independent simplex points."""
-    pts = np.asarray(simplex, dtype=np.float64)
-    k = pts.shape[1]
-    if pts.shape[0] != k + 1:
-        raise GeometryError(f"circumcenter needs k+1={k + 1} points")
-    rel = pts[1:] - pts[0]
-    try:
-        sol = np.linalg.solve(2.0 * rel, np.einsum("ij,ij->i", rel, rel))
-    except np.linalg.LinAlgError as err:
-        raise DegenerateSimplexError("simplex is affinely dependent") from err
-    center = pts[0] + sol
-    dists = np.linalg.norm(pts - center, axis=1)
-    diam = max(math.dist(a, b) for a, b in combinations(pts, 2))
-    if dists.max() - dists.min() > 1e-9 * diam:
-        raise DegenerateSimplexError(
-            "circumcenter system too ill-conditioned for a reliable center")
-    return center
-
-
-def bisector_pythagoras_check(x, y, p, rel_tol: float = 1e-9) -> bool:
-    """Check d(x,p)^2 = d(x,a)^2 + d(a,p)^2 with a the midpoint of x and y.
-
-    Requires p (approximately) equidistant from x and y.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    dxp = math.dist(x, p)
-    dyp = math.dist(y, p)
-    span = max(dxp, dyp, math.dist(x, y))
-    if abs(dxp - dyp) > 1e-9 * max(span, 1e-300):
-        raise GeometryError("p is not equidistant from x and y")
-    a = 0.5 * (x + y)
-    lhs = dxp ** 2
-    rhs = math.dist(x, a) ** 2 + math.dist(a, p) ** 2
-    return abs(lhs - rhs) <= rel_tol * max(lhs, rhs, 1e-300)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -56,26 +55,6 @@ def _table(n: int, ends: np.ndarray, lengths: np.ndarray, dim: int) -> ScoreTabl
 def score(graph: DelaunayGraph) -> ScoreTable:
     """Geometric mean of the lengths of the edges incident to each point."""
     return _table(graph.n, graph.edges, graph.lengths, graph.dim)
-
-
-def score_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> ScoreTable:
-    """Scores from an explicit (i, j, length) edge list; dim is unknown (0).
-
-    Raises ValueError unless every index is an integer in [0, n), every
-    length is finite and positive, and every point has an incident edge.
-    """
-    edges = list(edges)
-    ends = np.array([(i, j) for i, j, _ in edges] or np.empty((0, 2), dtype=np.int64))
-    lengths = np.array([length for _, _, length in edges], dtype=np.float64)
-    if ends.dtype.kind not in "iu":
-        raise ValueError("edge indices must be integers")
-    bad = ((ends < 0) | (ends >= n)).any(axis=1) | ~(np.isfinite(lengths) & (lengths > 0))
-    if bad.any():
-        i, j, length = edges[int(np.argmax(bad))]
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i},{j}) out of range")
-        raise ValueError(f"edge ({i},{j}) has length {length!r}, not finite and positive")
-    return _table(n, ends, lengths, dim=0)
 
 
 def relative_outlyingness(table: ScoreTable, ref: int) -> np.ndarray:

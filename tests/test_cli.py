@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from delo.cli import ColumnSpec, CLIInputError, ingest_csv, main, parse_columns
-from delo.outlyingness import score_from_edges
 
 TRIANGLE_CSV = "0,0\n3,0\n0,4\n"
 SQUARE_CSV = "0,0\n1,0\n0,1\n1,1\n"
@@ -260,16 +259,17 @@ def test_triangulate_round_trip_scores(capsys, tmp_path):
     p = tmp_path / "r.csv"
     p.write_text("".join(f"{float(a)!r},{float(b)!r}\n" for a, b in rng.uniform(-1, 1, (30, 2))))
     _, edges_out, _ = run(capsys, "triangulate", str(p))
-    edges = []
-    for line in edges_out.splitlines():
-        if line and not line.startswith(("#", "i,")):
-            i, j, length = line.split(",")
-            edges.append((int(i), int(j), float(length)))
-    table = score_from_edges(30, edges)
+    rows = [line.split(",") for line in edges_out.splitlines()
+            if line and not line.startswith(("#", "i,"))]
+    ends = np.array([(int(i), int(j)) for i, j, _ in rows]).ravel()
+    logs = np.log([float(length) for *_, length in rows])
+    # each point's score: the mean of the log lengths of its edges, exponentiated
+    want = np.exp(np.bincount(ends, weights=np.repeat(logs, 2), minlength=30)
+                  / np.bincount(ends, minlength=30))
     _, scores_out, _ = run(capsys, "score", str(p))
     scores = [float(l.split(",")[-1]) for l in scores_out.splitlines()
               if l and not l.startswith(("#", "row"))]
-    assert scores == pytest.approx(list(table.scores), rel=1e-15)
+    assert scores == pytest.approx(list(want), rel=1e-15)
 
 
 # --- simulate / consistency -------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import delo.oracle
 from delo import (
-    DegenerateSimplexError,
     DuplicatePointError,
     GeneralPositionError,
     GeometryError,
@@ -17,17 +16,18 @@ from delo import (
     in_sphere_many,
     orient,
 )
+from delo.geometry import _lifted_planes
 from delo.oracle import (
     FEASIBLE,
     INFEASIBLE,
     NO_CONVERGENCE,
     UNBOUNDED,
-    adjacent_witness,
-    bisector_pythagoras_check,
-    bruteforce_simplices,
-    circumcenter,
-    delaunay_bruteforce,
+    _base_planes,
+    _lifted_rows,
     _phase1,
+    adjacent_witness,
+    bruteforce_simplices,
+    delaunay_bruteforce,
 )
 
 from conftest import random_pointset
@@ -145,6 +145,80 @@ def test_bruteforce_near_cocircular_grid_takes_exact_path(monkeypatch):
     assert sum(counted) > 0  # signs inside the error bound were decided exactly
 
 
+def _assert_shared_planes_are_per_subset_planes(pts):
+    # every base vertex's subsets, in combinations order, whole and in runs
+    # of three; each prefix-built h is bit for bit the per-subset kernel's
+    n, k = pts.shape
+    lifted = _lifted_rows(pts)
+    for a in range(n - k):
+        want = [(a, *rest) for rest in combinations(range(a + 1, n), k)]
+        for block in (len(want), 3):
+            runs = list(_base_planes(lifted, a, k, block))
+            assert [len(sub) for sub, _ in runs] == [
+                min(block, len(want) - lo) for lo in range(0, len(want), block)]
+            sub = np.concatenate([sub for sub, _ in runs])
+            h = np.concatenate([h for _, h in runs])
+            assert list(map(tuple, sub.tolist())) == want
+            assert h.tobytes() == _lifted_planes(pts[sub])[0].tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_shared_minors_equal_per_subset_planes_bit_for_bit(k):
+    rng = np.random.default_rng(700 + k)
+    for n in (k + 1, k + 2, 16 if k <= 3 else 12):
+        _assert_shared_planes_are_per_subset_planes(rng.uniform(-1, 1, (n, k)))
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-12])
+def test_shared_minors_equal_per_subset_planes_on_a_grid(jitter):
+    rng = np.random.default_rng(7)
+    grid = np.array(list(product(range(4), repeat=2)), dtype=float)
+    _assert_shared_planes_are_per_subset_planes(grid + rng.uniform(-jitter, jitter, grid.shape))
+
+
+def _runs_of_a_few_subsets(monkeypatch, entries):
+    """Brute force with runs of max(1, entries // n) subsets. Returns, per
+    base vertex, its runs' sizes, recorded as brute force goes."""
+    runs = []
+    base_planes = delo.oracle._base_planes
+
+    def recording(lifted, a, k, block):
+        assert block == max(1, entries // len(lifted))
+        runs.append([])
+        for sub, h in base_planes(lifted, a, k, block):
+            runs[-1].append(len(sub))
+            yield sub, h
+
+    monkeypatch.setattr(delo.oracle, "_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(delo.oracle, "_base_planes", recording)
+    return runs
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_bruteforce_in_runs_of_a_few_subsets_equals_reference(k, monkeypatch):
+    runs = _runs_of_a_few_subsets(monkeypatch, 30)
+    rng = np.random.default_rng(800 + k)
+    for _ in range(2):
+        n = int(rng.integers(k + 3, 21 - 2 * k if k <= 4 else 13))
+        pts = rng.uniform(-1, 1, (n, k))
+        assert bruteforce_simplices(pts) == _reference_simplices(pts)
+    assert max(map(len, runs)) > 1  # a base vertex took several runs
+
+
+@pytest.mark.parametrize("entries", [1, 30])
+@pytest.mark.parametrize("pts,subset", [
+    (CUBE + [(0.5, 0.5, 0.4)], (0, 1, 2, 3, 4)),
+    ([(1, 0), (-1, 0), (0, 1), (0, -1), (0, 0)], (0, 1, 2, 3)),
+], ids=["cube-corners", "circle-with-centre"])
+def test_bruteforce_in_runs_of_a_few_subsets_names_the_same_subset(pts, subset, entries,
+                                                                    monkeypatch):
+    # with one subset per run, the cube's refusal comes in its second run
+    _runs_of_a_few_subsets(monkeypatch, entries)
+    with pytest.raises(GeneralPositionError) as exc:
+        bruteforce_simplices(pts)
+    assert (exc.value.kind, exc.value.subset) == ("cospherical", subset)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 3]), st.sampled_from([0.0, 1e-12, 1e-9]),
        st.integers(0, 3), st.integers(0, 2**32 - 1))
@@ -236,7 +310,6 @@ def test_witness_properties_on_random_set(rng):
             assert abs(di - dj) <= 1e-9 * max(diam, di)
             others = np.linalg.norm(pts - p, axis=1)
             assert others.min() >= di - 1e-9 * max(diam, di)
-            assert bisector_pythagoras_check(pts[i], pts[j], p)
 
 
 def test_phase1_simplex_basic():
@@ -459,50 +532,6 @@ def test_witness_is_a_fresh_array():
     first = adjacent_witness(pts, i, j).witness
     first[:] = np.inf
     _assert_witness(pts, i, j, adjacent_witness(pts, i, j).witness)
-
-
-# --- circumcenter ------------------------------------------------------------
-
-def test_circumcenter_examples():
-    assert circumcenter([(0, 0), (1, 0), (0, 1)]) == pytest.approx([0.5, 0.5])
-    assert circumcenter([(0, 0), (3, 0), (0, 4)]) == pytest.approx([1.5, 2.0])
-    tet = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
-    assert circumcenter(tet) == pytest.approx([0, 0, 0], abs=1e-12)
-
-
-def test_circumcenter_equidistance(rng):
-    pts = rng.uniform(-1, 1, (5, 4))
-    c = circumcenter(pts)
-    d = np.linalg.norm(pts - c, axis=1)
-    assert d.max() - d.min() <= 1e-9 * d.max()
-
-
-def test_circumcenter_degenerate():
-    with pytest.raises(DegenerateSimplexError):
-        circumcenter([(0, 0), (1, 1), (2, 2)])
-
-
-# --- Pythagorean identity ------------------------------------------------------
-
-def test_pythagoras_examples():
-    assert bisector_pythagoras_check((0, 0), (2, 0), (1, 5))
-    assert bisector_pythagoras_check((0, 0), (2, 0), (1, 0))
-
-
-def test_pythagoras_random_4d(rng):
-    x = rng.uniform(-1, 1, 4)
-    y = rng.uniform(-1, 1, 4)
-    for _ in range(20):
-        q = rng.uniform(-2, 2, 4)
-        u = (y - x) / np.linalg.norm(y - x)
-        a = 0.5 * (x + y)
-        p = q - ((q - a) @ u) * u  # project onto the bisector hyperplane
-        assert bisector_pythagoras_check(x, y, p)
-
-
-def test_pythagoras_precondition():
-    with pytest.raises(GeometryError):
-        bisector_pythagoras_check((0, 0), (2, 0), (5, 5))
 
 
 # --- triple agreement (small smoke; the acceptance suite scales this up) ------

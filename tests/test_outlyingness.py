@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from delo import delaunay
 from delo.outlyingness import (
+    _table,
     flag,
     relative_outlyingness,
     score,
-    score_from_edges,
 )
 
 from conftest import random_pointset
@@ -94,36 +94,15 @@ def test_log_space_survives_product_underflow():
     # a star of many short edges: the raw product underflows to zero but the
     # log-domain geometric mean stays exact
     n = 12
-    edges = [(0, j, 1e-40) for j in range(1, n)]
-    t = score_from_edges(n, edges)
+    ends = np.array([(0, j) for j in range(1, n)])
+    t = _table(n, ends, np.full(n - 1, 1e-40), dim=2)
     assert math.prod([1e-40] * (n - 1)) == 0.0
     assert t.scores[0] == pytest.approx(1e-40, rel=1e-12)
 
 
-def test_score_from_edges_matches_graph_scores():
-    g = delaunay(random_pointset(12, 20, 2))
-    edges = [(i, j, l) for (i, j), l in zip(g.edges.tolist(), g.lengths.tolist())]
-    t = score_from_edges(g.n, edges)
-    assert np.array_equal(t.log_scores, score(g).log_scores)
-    assert np.array_equal(t.scores, score(g).scores)
-
-
-def test_score_from_edges_validation():
-    with pytest.raises(ValueError):
-        score_from_edges(3, [(0, 1, 1.0)])  # point 2 isolated
-    with pytest.raises(ValueError):
-        score_from_edges(2, [(0, 1, 0.0)])
-    # a non-finite length is refused, not turned into NaN or infinite scores
-    for length in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            score_from_edges(2, [(0, 1, length)])
-    # a float index is refused with a ValueError, not a bare TypeError
-    with pytest.raises(ValueError, match="integers"):
-        score_from_edges(3, [(0.5, 1, 2.0), (1, 2, 2.0)])
-    # an index out of range is refused, not wrapped around or left to IndexError
-    for bad in ((0, -1, 5.0), (0, 3, 5.0), (-1, 2, 5.0)):
-        with pytest.raises(ValueError, match="out of range"):
-            score_from_edges(3, [(0, 1, 1.0), (1, 2, 2.0), bad])
+def test_table_refuses_a_point_without_edges():
+    with pytest.raises(ValueError, match="point 2 has no incident edges"):
+        _table(3, np.array([(0, 1)]), np.array([1.0]), dim=1)
 
 
 @settings(max_examples=25, deadline=None)
