@@ -13,6 +13,7 @@ import contextlib
 import csv
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -46,9 +47,12 @@ def parse_columns(text: str | None):
     if not items:
         raise CLIInputError("--columns must select at least one column")
     try:
-        return tuple(int(t) for t in items)
+        cols = tuple(int(t) for t in items)
     except ValueError:
-        return tuple(items)
+        cols = tuple(items)
+    if len(set(cols)) < len(cols) or any(isinstance(c, int) and c < 0 for c in cols):
+        raise CLIInputError(f"--columns must be distinct names or 0-based indices: {text!r}")
+    return cols
 
 
 def _read_rows(path: str, spec: ColumnSpec, strict: bool):
@@ -83,13 +87,19 @@ def _read_rows(path: str, spec: ColumnSpec, strict: bool):
     if len(idx) > MAX_DIM:
         raise CLIInputError(f"{len(idx)} coordinate columns selected; at most {MAX_DIM} supported")
 
+    # one float() pass per column when every row parses and is finite; else
+    # the loop below names or skips the bad rows
+    with contextlib.suppress(ValueError, IndexError):
+        arr = np.column_stack([[*map(float, map(operator.itemgetter(c), rows))] for c in idx])
+        if len(arr) >= 2 and np.isfinite(arr).all():
+            return arr, list(range(len(rows)))
     coords = []
     kept_rows = []
     skipped = 0
     for rno, row in enumerate(rows):
         try:
             vals = [float(row[c]) for c in idx]
-            if not all(np.isfinite(vals)):
+            if not all(map(math.isfinite, vals)):
                 raise ValueError("non-finite value")
         except (ValueError, IndexError) as err:
             if strict:
@@ -132,12 +142,13 @@ def _emit_json(obj, path: str | None):
         out.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _emit_csv(path: str | None, schema: str, header, rows, footer: str | None = None):
-    """A '# schema=' line, the header, one line per row (each field as its
-    repr, so floats round-trip) and an optional '# footer' line."""
+def _emit_csv(path: str | None, schema: str, header, columns, footer: str | None = None):
+    """A '# schema=' line, the header, one line per row of the columns (each
+    field as its repr, so floats round-trip) and an optional '# footer' line."""
     with _output(path) as out:
         out.write(f"# schema={schema}\n" + ",".join(header) + "\n")
-        out.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        line = ",".join(["%r"] * len(header)) + "\n"
+        out.writelines(map(line.__mod__, zip(*columns)))
         if footer:
             out.write(f"# {footer}\n")
 
@@ -165,42 +176,43 @@ def _load(args):
 
 
 def _scored(args):
-    """The input's ScoreTable, and per point (row, coords, log_score, score)
-    as Python values."""
+    """The input's ScoreTable, then its columns as Python lists: the row
+    numbers, one list per coordinate axis, the log scores and the scores."""
     ps, rows = _load(args)
     table = score(delaunay(ps))
-    return table, list(zip(rows, ps.coords.tolist(), table.log_scores.tolist(),
-                           table.scores.tolist()))
+    return table, rows, ps.coords.T.tolist(), table.log_scores.tolist(), table.scores.tolist()
 
 
 def cmd_score(args) -> int:
-    table, points = _scored(args)
+    table, rows, axes, logs, scores = _scored(args)
     if args.format == "json":
         recs = [{"row": r, "coords": c, "log_score": ls, "score": s}
-                for r, c, ls, s in points]
+                for r, c, ls, s in zip(rows, zip(*axes), logs, scores)]
         _emit_json({"schema_version": SCORES_SCHEMA, "records": recs}, args.output)
     else:
         _emit_csv(args.output, SCORES_SCHEMA,
                   ["row", *(f"x{d}" for d in range(table.dim)), "log_score", "score"],
-                  ([r, *c, ls, s] for r, c, ls, s in points))
+                  [rows, *axes, logs, scores])
     return 0
 
 
 def cmd_flag(args) -> int:
     if not (math.isfinite(args.alpha) and args.alpha >= 0):
         raise CLIInputError("--alpha must be finite and nonnegative")
-    table, points = _scored(args)
-    flagged = [points[i] for i in flag_scores(table, args.alpha).flagged]
+    table, rows, axes, _, scores = _scored(args)
+    keep = flag_scores(table, args.alpha).flagged
+    rows, *axes, scores = ([col[i] for i in keep] for col in (rows, *axes, scores))
     if args.format == "json":
-        recs = [{"row": r, "coords": c, "score": s} for r, c, _, s in flagged]
+        recs = [{"row": r, "coords": c, "score": s}
+                for r, c, s in zip(rows, zip(*axes), scores)]
         _emit_json({"schema_version": FLAGS_SCHEMA, "alpha": args.alpha,
-                    "flagged_count": len(flagged), "total": len(points),
+                    "flagged_count": len(rows), "total": table.n,
                     "flagged": recs}, args.output)
     else:
         _emit_csv(args.output, FLAGS_SCHEMA,
                   ["row", *(f"x{d}" for d in range(table.dim)), "score"],
-                  ([r, *c, s] for r, c, _, s in flagged),
-                  f"flagged={len(flagged)} total={len(points)} alpha={args.alpha!r}")
+                  [rows, *axes, scores],
+                  f"flagged={len(rows)} total={table.n} alpha={args.alpha!r}")
     return 0
 
 
@@ -213,10 +225,9 @@ def cmd_triangulate(args) -> int:
         raise CLIInputError(f"--oracle is limited to n <= {BRUTEFORCE_MAX_N}")
     graph = delaunay(ps)
     agreement = delaunay_bruteforce(ps) == graph.edge_set() if args.oracle else None
-    edges = [[i, j, length]
-             for (i, j), length in zip(graph.edges.tolist(), graph.lengths.tolist())]
+    edges = [*graph.edges.T.tolist(), graph.lengths.tolist()]
     if args.format == "json":
-        obj = {"schema_version": EDGES_SCHEMA, "edges": edges,
+        obj = {"schema_version": EDGES_SCHEMA, "edges": list(zip(*edges)),
                "simplices": graph.cells.tolist()}
         if agreement is not None:
             obj["oracle_agreement"] = agreement
@@ -241,7 +252,7 @@ def cmd_simulate(args) -> int:
     if args.histogram_csv:
         edges = report.histogram_edges
         _emit_csv(args.histogram_csv, "delo.histogram.v1", ["bin_lo", "bin_hi", "count"],
-                  zip(edges, edges[1:], report.histogram_counts))
+                  [edges, edges[1:], report.histogram_counts])
     print(f"runtime_seconds={report.runtime_seconds:.3f}", file=sys.stderr)
     return 0
 

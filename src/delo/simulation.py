@@ -108,15 +108,6 @@ def _ball_array(dim: int, n: int, radius: float, center, rng):
     return out + center, proposals, accepted
 
 
-def sample_ball(dim: int, n: int, radius: float, center, seed: int,
-                spawn_key: tuple[int, ...] = ()) -> PointSet:
-    """n uniform draws from a closed ball, by rejection from the cube."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    arr, _, _ = _ball_array(dim, n, radius, center, _stream(seed, spawn_key))
-    return PointSet(arr)
-
-
 # ---------------------------------------------------------------------------
 # shell experiment
 # ---------------------------------------------------------------------------

@@ -67,6 +67,11 @@ class BuildStats:
     backend: str
 
 
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class DelaunayGraph:
     """Undirected Delaunay graph as read-only flat arrays.
@@ -75,27 +80,37 @@ class DelaunayGraph:
     order, and lengths[e] is the Euclidean length of edges[e]. The neighbours
     of point i are indices[indptr[i]:indptr[i + 1]] (CSR), in ascending order.
     cells is the (m, k+1) int array of Delaunay cells, vertices ascending (no
-    rows when n < k+1); simplices is the same as a tuple of tuples, built on
-    first read. Graphs compare by identity: their arrays have no single truth
-    value.
+    rows when n < k+1); simplices is the same as a tuple of tuples. indptr,
+    indices and simplices are built on first read. Graphs compare by
+    identity: their arrays have no single truth value.
     """
 
     n: int
     dim: int
     edges: np.ndarray
     lengths: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
     cells: np.ndarray
     stats: BuildStats = BuildStats(0, 0, "incremental")
 
     def __post_init__(self):
-        for arr in (self.edges, self.lengths, self.indptr, self.indices, self.cells):
+        for arr in (self.edges, self.lengths, self.cells):
             arr.setflags(write=False)
 
     @functools.cached_property
     def simplices(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.cells.tolist()))
+
+    @functools.cached_property
+    def indptr(self) -> np.ndarray:
+        degrees = np.bincount(self.edges.ravel(), minlength=self.n)
+        return _read_only(np.r_[0, np.cumsum(degrees)])
+
+    @functools.cached_property
+    def indices(self) -> np.ndarray:
+        # neighbours of p: the i of rows (i, p), then the j of rows (p, j); both
+        # runs ascend, so one stable sort by p keeps every neighbour list sorted
+        ij = self.edges.T
+        return _read_only(ij.ravel()[np.argsort(ij[::-1].ravel(), kind="stable")])
 
     def incident_edges(self, i: int) -> list[tuple[int, float]]:
         """E(x_i): (neighbor index, edge length) pairs, sorted by neighbor."""
@@ -630,19 +645,15 @@ def delaunay(points, *, insertion_seed: int = 0) -> DelaunayGraph:
     # _check and _lower_simplices refuse cells that miss a point
     n = ps.n
     pairs = cells[:, list(combinations(range(cells.shape[1]), 2))]
-    keys = np.unique(pairs[..., 0] * n + pairs[..., 1])
+    keys = np.sort(pairs[..., 0] * n + pairs[..., 1], axis=None)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
     i, j = keys // n, keys % n
-    # neighbours of p: the i of rows (i, p), then the j of rows (p, j); both
-    # runs ascend, so one stable sort by p keeps every neighbour list sorted
-    src, dst = np.concatenate([j, i]), np.concatenate([i, j])
 
     return DelaunayGraph(
         n=n,
         dim=k,
         edges=np.column_stack([i, j]),
         lengths=np.linalg.norm(ps.coords[i] - ps.coords[j], axis=1),
-        indptr=np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))]),
-        indices=dst[np.argsort(src, kind="stable")],
         cells=cells if ps.n > k else np.empty((0, k + 1), dtype=np.int64),
         stats=stats,
     )

@@ -1,10 +1,12 @@
+import csv
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from delo.cli import ColumnSpec, CLIInputError, ingest_csv, main, parse_columns
+from delo.cli import ColumnSpec, CLIInputError, _read_rows, ingest_csv, main, parse_columns
 
 TRIANGLE_CSV = "0,0\n3,0\n0,4\n"
 SQUARE_CSV = "0,0\n1,0\n0,1\n1,1\n"
@@ -82,6 +84,80 @@ def test_parse_columns():
     assert parse_columns("0,1") == (0, 1)
     assert parse_columns("a,b") == ("a", "b")
     assert parse_columns(None) is None
+    for bad in ("-1,-2", "0,-1", "0,0", "1,01", "a,b,a"):
+        with pytest.raises(CLIInputError, match="--columns"):
+            parse_columns(bad)
+
+
+def _reference_read_rows(path, spec, strict):
+    """_read_rows as a per-row loop only, checking each row with np.isfinite:
+    the reference for its one-pass path and its math.isfinite check."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh, delimiter=spec.delimiter)
+                if row and not row[0].startswith("#")]
+    if not rows:
+        raise CLIInputError(f"{path} has no data rows")
+    header = None
+    if spec.header:
+        header = [c.strip() for c in rows[0]]
+        rows = rows[1:]
+    if spec.columns is None:
+        idx = list(range(len(rows[0]) if rows else 0))
+    elif all(isinstance(c, int) for c in spec.columns):
+        idx = list(spec.columns)
+    else:
+        idx = [header.index(str(c)) for c in spec.columns]
+    if not idx:
+        raise CLIInputError("no columns selected")
+    coords, kept_rows, skipped = [], [], 0
+    for rno, row in enumerate(rows):
+        try:
+            vals = [float(row[c]) for c in idx]
+            if not all(np.isfinite(vals)):
+                raise ValueError("non-finite value")
+        except (ValueError, IndexError) as err:
+            if strict:
+                raise CLIInputError(f"row {rno}: cannot parse columns {idx}: {err}") from err
+            skipped += 1
+            continue
+        coords.append(vals)
+        kept_rows.append(rno)
+    if skipped:
+        print(f"warning: skipped {skipped} unparseable rows", file=sys.stderr)
+    if len(coords) < 2:
+        raise CLIInputError(f"{path}: fewer than 2 valid rows")
+    return np.array(coords, dtype=np.float64), kept_rows
+
+
+INGEST_CSVS = {
+    # float() syntax: underscores, padding, exponents, a negative zero
+    "float-syntax": "# prices\na,b,c\n1_000, 2.5 ,1e3\n-0.0,1,2\n# gap\n3,4,-5E-1\n6,7,8\n",
+    "non-finite": "a,b,c\n1,2,3\nnan,1,2\n4,inf,5\n9,10,11\n12,13,-inf\n",
+    "bad-cells": "a,b,c\n1,2,3\nnan,1,2\n4,inf,5\n6,,7\n8\n9,10,11\n12,13,-inf\n",
+    "one-row": "a,b,c\n1,2,3\n",
+    "header-only": "# nothing\na,b,c\n",
+}
+INGEST_SPECS = [ColumnSpec(), ColumnSpec(columns=(1,)), ColumnSpec(columns=(2, 0)),
+                ColumnSpec(header=True), ColumnSpec(columns=("b",), header=True),
+                ColumnSpec(columns=("a", "c"), header=True)]
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+@pytest.mark.parametrize("spec", INGEST_SPECS)
+@pytest.mark.parametrize("name", INGEST_CSVS)
+def test_read_rows_matches_per_row_loop(tmp_path, capsys, name, spec, strict):
+    p = tmp_path / f"{name}.csv"
+    p.write_text(INGEST_CSVS[name])
+
+    def outcome(read):
+        try:
+            arr, rows = read(str(p), spec, strict)
+            result = (arr.dtype, arr.shape, arr.flags.c_contiguous, arr.tobytes(), rows)
+        except CLIInputError as err:
+            result = str(err)
+        return result, capsys.readouterr().err
+
+    assert outcome(_read_rows) == outcome(_reference_read_rows)
 
 
 # --- score --------------------------------------------------------------------
@@ -142,7 +218,8 @@ def test_score_overflowing_coordinates_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["empty-delimiter", "long-delimiter", "negative-jitter-seed",
-                                  "non-utf8-byte", "over-long-field", "simulate-two-outliers"])
+                                  "non-utf8-byte", "over-long-field", "simulate-two-outliers",
+                                  "negative-columns", "repeated-columns"])
 def test_bad_input_gives_one_json_line_exit_1(tmp_path, capsys, triangle, case):
     data = tmp_path / "data.csv"
     argv = {
@@ -153,6 +230,8 @@ def test_bad_input_gives_one_json_line_exit_1(tmp_path, capsys, triangle, case):
         "over-long-field": ["score", str(data)],
         "simulate-two-outliers": ["simulate", "--dim", "2", "--n", "10", "--replicates", "1",
                                   "--outlier", "0,0", "--outlier", "5,5"],
+        "negative-columns": ["score", triangle, "--columns=-1,-2"],
+        "repeated-columns": ["score", triangle, "--columns", "0,0"],
     }[case]
     if case == "non-utf8-byte":
         data.write_bytes(b"0,0\n3,0\n0,\xff4\n")

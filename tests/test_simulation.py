@@ -12,7 +12,6 @@ from delo.simulation import (
     resolve_processes,
     run_consistency_experiment,
     run_relative_outlyingness_experiment,
-    sample_ball,
     sample_shell,
 )
 
@@ -80,11 +79,11 @@ def test_shell_appends_outliers_last():
 # --- ball sampler -----------------------------------------------------------------
 
 def test_ball_norms_bounded_and_reproducible():
-    ps = sample_ball(3, 2000, 2.5, (1.0, -1.0, 0.0), seed=3)
-    norms = np.linalg.norm(ps.coords - np.array([1.0, -1.0, 0.0]), axis=1)
-    assert norms.max() <= 2.5
-    ps2 = sample_ball(3, 2000, 2.5, (1.0, -1.0, 0.0), seed=3)
-    assert np.array_equal(ps.coords, ps2.coords)
+    pts, _, _ = _ball_array(3, 2000, 2.5, (1.0, -1.0, 0.0), _stream(3, ()))
+    norms = np.linalg.norm(pts - np.array([1.0, -1.0, 0.0]), axis=1)
+    assert pts.shape == (2000, 3) and norms.max() <= 2.5
+    pts2, _, _ = _ball_array(3, 2000, 2.5, (1.0, -1.0, 0.0), _stream(3, ()))
+    assert np.array_equal(pts, pts2)
 
 
 def test_ball_acceptance_rate_matches_volume_ratio():
@@ -96,8 +95,13 @@ def test_ball_acceptance_rate_matches_volume_ratio():
 
 
 def test_ball_rejects_bad_radius():
-    with pytest.raises(ValueError):
-        sample_ball(2, 5, 0.0, (0, 0), seed=1)
+    # the ball is sampled only inside the consistency experiment, which checks
+    # the radius first; test_consistency_validation covers -1 and inf
+    for radius in (0.0, math.nan):
+        with pytest.raises(ValueError, match="radius"):
+            run_consistency_experiment(dim=2, radius=radius, center=(0.0, 0.0),
+                                       outliers=[(3.0, 0.0)], n_schedule=(5,), replicates=1,
+                                       seed=1, processes=1)
 
 
 # --- shell experiment ----------------------------------------------------------------
