@@ -15,13 +15,15 @@ end-to-end metric, both sides' runs, medians and quartiles, the ratio of
 the medians, how many pairs the change won (ties count for neither),
 whether every run was correct, and the provenance of every run.
 
-Each workload also gets one ``--trace 1`` run per side on the held-out seed
-of ``perfbench/baseline.json``: its per-layer metrics (medians over the
-traced passes), and whether its output hash equals the baseline's. Last,
-the Tier-1 suite runs once per side, timed, with its summary line and its
-slowest tests as pytest's ``--durations`` prints them. Run it on an
-otherwise idle machine: it takes about 2 x (seeds + 1) x workloads x
-run_seconds, plus two Tier-1 runs.
+Each workload also gets three ``--trace 1`` runs per side on the held-out
+seed of ``perfbench/baseline.json``, the sides alternating as above: per
+per-layer metric the median, minimum and maximum of the runs (each a median
+over its traced passes), so one busy stretch of the host shows as spread,
+and whether every output hash equals the baseline's. Last, the Tier-1 suite
+runs once per side, timed, with its summary line and its slowest tests as
+pytest's ``--durations`` prints them. Run it on an otherwise idle machine:
+it takes about 2 x (seeds + 3) x workloads x run_seconds, plus two Tier-1
+runs.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_RUNS = 3
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
@@ -52,17 +55,27 @@ def run_side(tree: Path, workload: str, seed: int, seconds: int, trace: int = 0)
 
 def traced_heldout(trees: dict[str, Path], workload: str, seed: int, seconds: int,
                    baseline_sha: str) -> dict:
-    """One traced run per side on the held-out seed: per-layer metrics, and
-    whether the output hash is the baseline's."""
+    """TRACED_RUNS traced runs per side on the held-out seed, the sides
+    alternating: per-layer metrics (median, min and max over the runs), and
+    whether every output hash is the baseline's."""
+    runs: dict[str, list[dict]] = {side: [] for side in trees}
+    for i in range(TRACED_RUNS):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            r = run_side(trees[side], workload, seed, seconds, trace=1)
+            runs[side].append(r)
+            print(f"{workload} held-out traced {side}: "
+                  f"{json.dumps({m: v['value'] for m, v in r['metrics'].items()})}",
+                  file=sys.stderr)
     out = {"seed": seed}
-    for side, tree in trees.items():
-        r = run_side(tree, workload, seed, seconds, trace=1)
-        out[side] = {"correct": r["correct"], "output_sha256": r["output_sha256"],
-                     "output_sha256_is_baseline": r["output_sha256"] == baseline_sha,
-                     "git_commit": r["git_commit"], "passes": r["passes"],
-                     "metrics": {m: v["value"] for m, v in r["metrics"].items()}}
-        print(f"{workload} held-out traced {side}: {json.dumps(out[side]['metrics'])}",
-              file=sys.stderr)
+    for side, rs in runs.items():
+        shas = sorted({r["output_sha256"] for r in rs})
+        values = {m: [r["metrics"][m]["value"] for r in rs] for m in rs[0]["metrics"]}
+        out[side] = {"correct": all(r["correct"] for r in rs),
+                     "output_sha256": shas[0] if len(shas) == 1 else shas,
+                     "output_sha256_is_baseline": shas == [baseline_sha],
+                     "git_commit": rs[0]["git_commit"], "passes": [r["passes"] for r in rs],
+                     "metrics": {m: {"median": statistics.median(vs), "min": min(vs),
+                                     "max": max(vs)} for m, vs in values.items()}}
     return out
 
 

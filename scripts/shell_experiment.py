@@ -34,13 +34,13 @@ def main():
                                seed=args.seed)
         report = run_relative_outlyingness_experiment(cfg, processes=args.processes)
         path = outdir / f"shell_dim{dim}_n{cfg.n_inliers}_r{reps}.json"
-        path.write_text(json.dumps(report.to_dict(include_runtime=True),
-                                   sort_keys=True, indent=2) + "\n")
+        path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
         print(f"dim {dim}: n={cfg.n_inliers} replicates={reps} "
               f"ratios>=0.9: {report.threshold_counts[0.9]} "
               f"({100 * report.threshold_fractions[0.9]:.4f}%)  "
               f"ratios>=1: {report.threshold_counts[1.0]}  "
-              f"median={report.median_ratio:.4f}  -> {path}")
+              f"median={report.median_ratio:.4f}  "
+              f"runtime={report.runtime_seconds:.1f}s  -> {path}")
 
 
 if __name__ == "__main__":

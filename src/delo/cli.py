@@ -248,7 +248,7 @@ def cmd_simulate(args) -> int:
         outliers=tuple(args.outlier or ()), thresholds=args.thresholds,
     )
     report = run_relative_outlyingness_experiment(cfg, processes=args.processes)
-    _emit_json(report.to_dict(include_runtime=args.include_runtime), args.output)
+    _emit_json(report.to_dict(), args.output)
     if args.histogram_csv:
         edges = report.histogram_edges
         _emit_csv(args.histogram_csv, "delo.histogram.v1", ["bin_lo", "bin_hi", "count"],
@@ -266,7 +266,7 @@ def cmd_consistency(args) -> int:
         outliers=args.outlier or [(3.0,) + (0.0,) * (args.dim - 1)],
         n_schedule=args.schedule, replicates=args.replicates, seed=args.seed,
         processes=args.processes)
-    _emit_json(report.to_dict(include_runtime=args.include_runtime), args.output)
+    _emit_json(report.to_dict(), args.output)
     print(f"runtime_seconds={report.runtime_seconds:.3f}", file=sys.stderr)
     return 0
 
@@ -338,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--processes", type=int, default=None,
                    help="replicate workers (capped by DELO_THREADS)")
     p.add_argument("--histogram-csv", default=None)
-    p.add_argument("--include-runtime", action="store_true")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_simulate)
 
@@ -353,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--processes", type=int, default=None)
-    p.add_argument("--include-runtime", action="store_true")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_consistency)
 

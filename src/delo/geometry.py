@@ -50,9 +50,9 @@ class DegenerateSimplexError(GeometryError):
 class GeneralPositionError(GeometryError):
     """Input violates the general-position requirements.
 
-    kind is 'affine_span' (points do not span), 'cospherical' (k+2 points on a
-    common sphere) or 'degenerate_flat' (a lower-dimensional coincidence the
-    triangulation cannot tile; jitter resolves it).
+    kind is 'affine_span' (points do not span) or 'cospherical' (k+2 points
+    on a sphere with no point strictly inside, or all points on one sphere),
+    so the Delaunay triangulation is not unique; jitter resolves it.
     """
 
     def __init__(self, kind: str, subset: tuple[int, ...], message: str):

@@ -38,6 +38,17 @@ def resolve_processes(requested: int | None = None) -> int:
     return min(procs, cpus)
 
 
+def _map_replicates(fn, args: list, processes: int | None) -> list:
+    """[fn(a) for a in args], in a pool of resolve_processes(processes)
+    workers when that and len(args) both exceed one."""
+    procs = resolve_processes(processes)
+    if procs > 1 and len(args) > 1:
+        _qhull()  # import scipy once here, not in every forked worker
+        with Pool(procs) as pool:
+            return pool.map(fn, args, chunksize=max(1, len(args) // (4 * procs)))
+    return [fn(a) for a in args]
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Spherical-shell experiment: inliers R*Theta, R ~ U[r_lo, r_hi], plus
@@ -126,9 +137,9 @@ class ExperimentReport:
     runtime_seconds: float = field(compare=False)
     replicate_ratios: tuple[tuple[float, ...], ...] | None = None
 
-    def to_dict(self, include_runtime: bool = False) -> dict:
+    def to_dict(self) -> dict:
         cfg = self.config
-        out = {
+        return {
             "schema_version": "delo.experiment.v1",
             "kind": "relative_outlyingness",
             "config": {
@@ -147,9 +158,6 @@ class ExperimentReport:
             "max_ratio": self.max_ratio,
             "failed_replicates": self.failed_replicates,
         }
-        if include_runtime:
-            out["runtime_seconds"] = self.runtime_seconds
-        return out
 
 
 def _shell_replicate(args) -> np.ndarray | None:
@@ -171,15 +179,8 @@ def run_relative_outlyingness_experiment(cfg: SimulationConfig, *,
     if len(cfg.outliers) != 1:
         raise ValueError("the ratio reference requires exactly one outlier")
     t0 = time.perf_counter()
-    args = [(cfg, r) for r in range(cfg.replicates)]
-    procs = resolve_processes(processes)
-    if procs > 1 and cfg.replicates > 1:
-        _qhull()  # import scipy once here, not in every forked worker
-        with Pool(procs) as pool:
-            results = pool.map(_shell_replicate, args,
-                               chunksize=max(1, cfg.replicates // (4 * procs)))
-    else:
-        results = [_shell_replicate(a) for a in args]
+    results = _map_replicates(_shell_replicate, [(cfg, r) for r in range(cfg.replicates)],
+                              processes)
 
     failed = sum(1 for r in results if r is None)
     kept = [r for r in results if r is not None]
@@ -230,8 +231,8 @@ class ConsistencyReport:
     gamma_strictly_decreasing: bool
     runtime_seconds: float = field(compare=False)
 
-    def to_dict(self, include_runtime: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "schema_version": "delo.experiment.v1",
             "kind": "consistency",
             "config": {
@@ -252,9 +253,6 @@ class ConsistencyReport:
             "lambda_strictly_decreasing": self.lambda_strictly_decreasing,
             "gamma_strictly_decreasing": self.gamma_strictly_decreasing,
         }
-        if include_runtime:
-            out["runtime_seconds"] = self.runtime_seconds
-        return out
 
 
 def _consistency_replicate(args):
@@ -267,7 +265,7 @@ def _consistency_replicate(args):
     # rows are i < j, so an edge joins two inliers iff j < n
     lam_in = float(graph.lengths[graph.edges[:, 1] < n].max(initial=0.0))
     return (float(table.scores[n:].min()), float(table.scores[:n].max()),
-            lam_in, graph.max_edge_length())
+            lam_in, float(graph.lengths.max()))
 
 
 def run_consistency_experiment(*, dim: int, radius: float, center, outliers,
@@ -315,14 +313,7 @@ def run_consistency_experiment(*, dim: int, radius: float, center, outliers,
     t0 = time.perf_counter()
     args = [(dim, radius, center, outliers, n, seed, n_idx, rep)
             for n_idx, n in enumerate(schedule) for rep in range(replicates)]
-    procs = resolve_processes(processes)
-    if procs > 1 and len(args) > 1:
-        _qhull()  # import scipy once here, not in every forked worker
-        with Pool(procs) as pool:
-            rows = pool.map(_consistency_replicate, args,
-                            chunksize=max(1, len(args) // (4 * procs)))
-    else:
-        rows = [_consistency_replicate(a) for a in args]
+    rows = _map_replicates(_consistency_replicate, args, processes)
 
     per_n = [rows[i * replicates:(i + 1) * replicates] for i in range(len(schedule))]
     min_out = tuple(tuple(r[0] for r in block) for block in per_n)

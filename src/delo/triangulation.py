@@ -5,24 +5,29 @@ For 2 <= k <= 6 and more than k+1 points, scipy's Qhull (Barber, Dobkin &
 Huhdanpaa 1996) proposes the cells in floating point, and they are used
 only after a batched certificate in the style of Mehlhorn et al. (1999) has
 checked them with exact signs: every point is a vertex, the cells form a
-triangulation of the convex hull, and every interior ridge is strictly
-locally Delaunay. Such a triangulation is the unique Delaunay triangulation
-of the points. Where Qhull's cells pass every check but a few ridges are
-not locally Delaunay (Qhull splits facets it merged for precision in any
-order), bistellar flips repair them on the certificate's ridge table,
-signing only the ridges they create.
+triangulation of the convex hull, and at no interior ridge does the vertex
+across it lie strictly inside a cell's circumsphere. Where Qhull's cells
+pass every check but a few ridges are not locally Delaunay (Qhull splits
+facets it merged for precision in any order), bistellar flips repair them
+on the certificate's ridge table, signing only the ridges they create.
 
-Otherwise -- k = 1, Qhull failing, or any check failing or meeting a zero
-sign where it needs a strict one -- the points are lifted to the paraboloid
-in R^(k+1), the incremental beneath-beyond algorithm with conflict lists
-builds their convex hull, and the downward-facing facets project back to
-the Delaunay cells. Every visibility decision is the exact side of a lifted
-point relative to a facet's lifted hyperplane, one hyperplane per facet from
-the kernel the certificate, the flips and the predicates share
-(geometry._planes: cofactors, a float filter, and the same expansion on
-exact integers), so the output is the true triangulation whenever the input
-is in general position; degeneracies encountered along the way are reported
-as errors naming the offending subset.
+Otherwise -- k = 1, Qhull failing, or a check or a flip failing -- the
+points are lifted to the paraboloid in R^(k+1), the incremental
+beneath-beyond algorithm with conflict lists builds their convex hull, and
+the downward-facing facets project back to the cells. Every visibility
+decision is the exact side of a lifted point relative to a facet's lifted
+hyperplane, one hyperplane per facet from the kernel the certificate, the
+flips and the predicates share (geometry._planes: cofactors, a float
+filter, and the same expansion on exact integers). A point on a facet's
+hyperplane does not see it, so the builder always finishes, and for k >= 2
+its cells go through the same certificate.
+
+Certified cells with no positive in-sphere sign are weakly Delaunay: no
+point lies strictly inside any cell's circumsphere. If every sign is
+negative they are the unique Delaunay triangulation. A zero sign at a ridge
+puts the cell and the vertex across it, k+2 points, on a sphere with no
+point strictly inside; that subset is the one degeneracy refusal, besides
+points that do not span R^k or all lie on one sphere.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .geometry import (
     GeneralPositionError,
     GeometryError,
     PointSet,
-    Sign,
     _lifted_planes,
     _orient_signs,
     _plane_insphere_signs,
@@ -46,7 +50,6 @@ from .geometry import (
     _planes,
     affinely_independent_subset,
     is_affinely_independent,
-    orient,
 )
 
 
@@ -67,22 +70,16 @@ class BuildStats:
     backend: str
 
 
-def _read_only(arr):
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class DelaunayGraph:
     """Undirected Delaunay graph as read-only flat arrays.
 
     edges is an (E, 2) int64 array of vertex pairs i < j in lexicographic
-    order, and lengths[e] is the Euclidean length of edges[e]. The neighbours
-    of point i are indices[indptr[i]:indptr[i + 1]] (CSR), in ascending order.
-    cells is the (m, k+1) int array of Delaunay cells, vertices ascending (no
-    rows when n < k+1); simplices is the same as a tuple of tuples. indptr,
-    indices and simplices are built on first read. Graphs compare by
-    identity: their arrays have no single truth value.
+    order, and lengths[e] is the Euclidean length of edges[e]. cells is the
+    (m, k+1) int array of Delaunay cells, vertices ascending (no rows when
+    n < k+1); simplices is the same as a tuple of tuples, built on first
+    read. Graphs compare by identity: their arrays have no single truth
+    value.
     """
 
     n: int
@@ -100,43 +97,18 @@ class DelaunayGraph:
     def simplices(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.cells.tolist()))
 
-    @functools.cached_property
-    def indptr(self) -> np.ndarray:
-        degrees = np.bincount(self.edges.ravel(), minlength=self.n)
-        return _read_only(np.r_[0, np.cumsum(degrees)])
-
-    @functools.cached_property
-    def indices(self) -> np.ndarray:
-        # neighbours of p: the i of rows (i, p), then the j of rows (p, j); both
-        # runs ascend, so one stable sort by p keeps every neighbour list sorted
-        ij = self.edges.T
-        return _read_only(ij.ravel()[np.argsort(ij[::-1].ravel(), kind="stable")])
-
     def incident_edges(self, i: int) -> list[tuple[int, float]]:
         """E(x_i): (neighbor index, edge length) pairs, sorted by neighbor."""
         if not 0 <= i < self.n:
             raise IndexError(f"point index {i} out of range [0, {self.n})")
-        # the rows (a, i), a < i, come before the rows (i, b), as the neighbours do
+        # the rows (a, i), a < i, come before the rows (i, b), i < b, so the
+        # other ends of the rows holding i ascend
         rows = np.flatnonzero((self.edges == i).any(axis=1))
-        return list(zip(self.indices[self.indptr[i]:self.indptr[i + 1]].tolist(),
-                        self.lengths[rows].tolist()))
+        ends = self.edges[rows]
+        return list(zip(ends[ends != i].tolist(), self.lengths[rows].tolist()))
 
     def edge_set(self) -> set[tuple[int, int]]:
         return set(map(tuple, self.edges.tolist()))
-
-    def max_edge_length(self) -> float:
-        return float(self.lengths.max())
-
-    def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in self.indices[self.indptr[i]:self.indptr[i + 1]].tolist():
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == self.n
 
 
 class _Facet:
@@ -157,6 +129,10 @@ class _HullBuilder:
     det([L_v - L_v0; ...; L_q - L_v0]): one dot product with the facet's
     hyperplane, computed once per facet (geometry._planes). q sees the facet
     iff its side is -ref.
+
+    Every lifted point lies strictly outside the hull of the others, so
+    insertion never fails: the result is the placing triangulation of the
+    lifted points in insertion order, whose lower facets are weakly Delaunay.
     """
 
     def __init__(self, ps: PointSet, insertion_seed: int):
@@ -179,17 +155,10 @@ class _HullBuilder:
         self.fallbacks += exact
         return signs
 
-    def _zero_conflict(self, facet: _Facet, q: int):
-        """A query exactly on a facet plane: cospherical unless the facet is
-        a vertical wall (its projection is affinely dependent)."""
-        if orient(self.coords[list(facet.verts)]) is not Sign.ZERO:
-            subset = tuple(sorted(facet.verts + (q,)))
-            raise GeneralPositionError(
-                "cospherical", subset,
-                f"points {subset} lie on a common sphere; jitter to proceed")
-
     def _assign(self, facets: list[_Facet], candidates: list[list[int]]):
-        """Add each facet's candidate points that see it to its conflicts."""
+        """Add each facet's candidate points that see it to its conflicts. A
+        point on a facet's hyperplane does not see it: on a vertical wall, or
+        on a lifted sphere through the facet's points, cospherical with them."""
         counts = [len(block) for block in candidates]
         if not sum(counts):
             return
@@ -198,9 +167,7 @@ class _HullBuilder:
         signs = self._sides(np.array([f.verts for f in facets]), owner, flat)
         for i, q, s in zip(owner.tolist(), flat, signs.tolist()):
             f = facets[i]
-            if s == 0:
-                self._zero_conflict(f, q)
-            elif s == -f.ref:
+            if s == -f.ref:
                 f.conflicts.add(q)
                 self.point_conflicts[q][f] = None
 
@@ -252,12 +219,10 @@ class _HullBuilder:
         return self._lower_simplices()
 
     def _insert(self, p: int):
+        # lifted p lies strictly outside the hull of the others (the paraboloid
+        # is strictly convex), so it sees a facet, and the facets it sees form
+        # a ball whose boundary ridges pair up below
         visible = self.point_conflicts.pop(p)
-        if not visible:
-            raise GeneralPositionError(
-                "degenerate_flat", (p,),
-                f"point {p} is not strictly outside the partial hull; jitter to proceed")
-
         horizon = []
         for f in visible:
             for ridge, g in f.neighbors.items():
@@ -290,11 +255,6 @@ class _HullBuilder:
                 else:
                     nf.neighbors[key] = other
                     other.neighbors[key] = nf
-        if half_ridges:
-            stray = tuple(sorted({v for key in half_ridges for v in key}))
-            raise GeneralPositionError(
-                "degenerate_flat", stray,
-                f"hull boundary is not simplicial around points {stray}; jitter to proceed")
 
         self._assign(new_facets, candidates)
 
@@ -306,17 +266,12 @@ class _HullBuilder:
         self.facets.update(dict.fromkeys(new_facets))
 
     def _lower_simplices(self) -> list[tuple[int, ...]]:
-        """Facets whose outward normal points downward project to Delaunay
-        cells. The hull lies above them, and a point far above a facet lies
-        on the side of its projected orientation."""
+        """Facets whose outward normal points downward project to weakly
+        Delaunay cells. The hull lies above them, and a point far above a
+        facet lies on the side of its projected orientation."""
         facets = list(self.facets)
         signs, _ = _orient_signs(self.coords[np.array([f.verts for f in facets])])
-        lower = [f.verts for f, s in zip(facets, signs.tolist()) if s == f.ref]
-        covered = {v for verts in lower for v in verts}
-        if len(covered) != self.n:
-            missing = sorted(set(range(self.n)) - covered)
-            raise RuntimeError(f"points {missing} missing from the lower hull")
-        return lower
+        return [f.verts for f, s in zip(facets, signs.tolist()) if s == f.ref]
 
 
 @functools.cache
@@ -413,7 +368,9 @@ def _check(coords: np.ndarray, cells) -> _Ridges | None:
     it is the convex hull of the points. If moreover every sign is negative,
     every interior ridge is strictly locally Delaunay, which makes the
     lifted cells a strictly convex lower hull: the unique Delaunay
-    triangulation.
+    triangulation. If no sign is positive, the lifted cells are a convex
+    lower hull, on or below which no lifted point lies: no point is strictly
+    inside any cell's circumsphere.
 
     Each cell's orientation and in-sphere signs come from one lifted
     hyperplane (geometry._lifted_planes); each interior ridge costs one dot
@@ -580,10 +537,9 @@ def _flip_to_delaunay(coords: np.ndarray, table: _Ridges) -> bool:
     return True
 
 
-def _qhull_delaunay(ps: PointSet) -> tuple[np.ndarray, BuildStats] | None:
-    """Qhull's cells once certified; None where the exact builder must decide."""
-    if ps.dim < 2:
-        return None
+def _qhull_delaunay(ps: PointSet) -> _Ridges | None:
+    """The ridge table of Qhull's cells once certified and flipped until no
+    sign is positive; None where the exact builder must decide."""
     qhull_delaunay, qhull_error = _qhull()
     try:
         # translation leaves the triangulation unchanged but not Qhull's
@@ -593,14 +549,11 @@ def _qhull_delaunay(ps: PointSet) -> tuple[np.ndarray, BuildStats] | None:
     except qhull_error:
         return None
     table = _check(ps.coords, proposed)
-    if table is None or not table.signs.all():
-        return None  # a failed check or a zero sign: the builder decides
-    if (table.signs > 0).any():
-        # Qhull merges facets of nearly cospherical points and splits them
-        # into cells in any order, so a few ridges may not be Delaunay
-        if not _flip_to_delaunay(ps.coords, table) or not table.signs.all():
-            return None
-    return table.cells, BuildStats(len(table.cells), table.exact, "qhull")
+    # Qhull merges facets of nearly cospherical points and splits them into
+    # cells in any order, so a few ridges may not be Delaunay
+    if table is None or ((table.signs > 0).any() and not _flip_to_delaunay(ps.coords, table)):
+        return None
+    return table
 
 
 def delaunay(points, *, insertion_seed: int = 0) -> DelaunayGraph:
@@ -608,12 +561,13 @@ def delaunay(points, *, insertion_seed: int = 0) -> DelaunayGraph:
 
     For n <= k+1 affinely independent points the result is the complete
     graph (all Voronoi cells meet). insertion_seed orders the exact
-    builder's insertions, so it matters only where Qhull's cells are not
-    certified; there it can decide whether a near-degenerate set is refused,
-    but never changes the cells returned. Degenerate inputs raise
-    GeneralPositionError; geometry.jitter_points (seeded, 1e-9 x bbox
-    diameter) resolves them at the cost of exactness of the coordinates.
-    Coordinates whose squared distances overflow a float raise OverflowError.
+    builder's insertions, which run only where Qhull's cells are not
+    certified; it never changes the cells returned, nor whether a set is
+    refused. Degenerate inputs raise GeneralPositionError: k+2 points on a
+    sphere with no point strictly inside, so the triangulation is not
+    unique; geometry.jitter_points (seeded, 1e-9 x bbox diameter) resolves
+    them at the cost of exactness of the coordinates. Coordinates whose
+    squared distances overflow a float raise OverflowError.
     """
     ps = points if isinstance(points, PointSet) else PointSet(np.asarray(points, dtype=np.float64))
     if ps.n < 2:
@@ -631,18 +585,38 @@ def delaunay(points, *, insertion_seed: int = 0) -> DelaunayGraph:
                 "small point set is affinely dependent; no unique dual graph")
         cells = np.arange(ps.n)[None]  # every pair is an edge
         stats = BuildStats(0, 0, "incremental")
+    elif k == 1:
+        # three distinct points on a line are never cospherical
+        builder = _HullBuilder(ps, insertion_seed)
+        cells = np.array(sorted(builder.build()), dtype=np.int64)
+        stats = BuildStats(builder.created, builder.fallbacks, "incremental")
     else:
-        certified = _qhull_delaunay(ps)
-        if certified is not None:
-            cells, stats = certified
+        table = _qhull_delaunay(ps)
+        if table is not None:
+            stats = BuildStats(len(table.cells), table.exact, "qhull")
         else:
             builder = _HullBuilder(ps, insertion_seed)
-            cells = np.array(sorted(builder.build()), dtype=np.int64)
+            table = _check(ps.coords, builder.build())
+            if table is None or (table.signs > 0).any():
+                raise RuntimeError("the exact builder's cells failed the certificate")
             stats = BuildStats(builder.created, builder.fallbacks, "incremental")
+        # certified with no positive sign, the cells are weakly Delaunay: no
+        # point lies strictly inside a circumsphere. A zero sign puts the
+        # vertex across a face on its cell's: k+2 points on an empty sphere.
+        zero = np.flatnonzero(table.signs == 0)
+        if len(zero):
+            f = int(zero[0])
+            subset = tuple(sorted(table.cells[f // (k + 1)].tolist()
+                                  + [int(table.cells.flat[table.opposite[f]])]))
+            raise GeneralPositionError(
+                "cospherical", subset,
+                f"points {subset} lie on a common sphere; jitter to proceed")
+        cells = table.cells
 
     # the edges are the vertex pairs of the cells (rows ascend, so i < j),
     # deduplicated and ordered by the key i*n + j; every point has one, as
-    # _check and _lower_simplices refuse cells that miss a point
+    # _check refuses cells that miss a point and in 1-D every lifted point is
+    # a vertex of the lower hull
     n = ps.n
     pairs = cells[:, list(combinations(range(cells.shape[1]), 2))]
     keys = np.sort(pairs[..., 0] * n + pairs[..., 1], axis=None)

@@ -143,7 +143,6 @@ def test_runtime_not_in_canonical_dict():
     cfg = small_cfg(replicates=2)
     rep = run_relative_outlyingness_experiment(cfg, processes=1)
     assert "runtime_seconds" not in rep.to_dict()
-    assert "runtime_seconds" in rep.to_dict(include_runtime=True)
 
 
 # --- consistency experiment -------------------------------------------------------------

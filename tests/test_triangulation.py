@@ -38,6 +38,16 @@ from delo.triangulation import (
 from conftest import random_pointset
 
 
+def _connected(g) -> bool:
+    seen, stack = {0}, [0]
+    while stack:
+        for j, _ in g.incident_edges(stack.pop()):
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == g.n
+
+
 def test_triangle_is_complete_with_expected_lengths():
     g = delaunay([(0, 0), (3, 0), (0, 4)])
     assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
@@ -66,7 +76,7 @@ def test_incident_edges_triangle():
 
 def test_graph_arrays_are_read_only_and_edge_set_has_python_ints():
     g = delaunay(random_pointset(5, 30, 2))
-    for arr in (g.edges, g.lengths, g.indptr, g.indices, g.cells):
+    for arr in (g.edges, g.lengths, g.cells):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -83,9 +93,9 @@ def test_graph_array_orders():
     assert (g.edges[:, 0] < g.edges[:, 1]).all()
     keys = g.edges[:, 0] * g.n + g.edges[:, 1]
     assert (np.diff(keys) > 0).all()  # lexicographic, no repeats
-    assert g.indptr[0] == 0 and g.indptr[-1] == 2 * len(g.edges)
+    assert sum(len(g.incident_edges(i)) for i in range(g.n)) == 2 * len(g.edges)
     for i in range(g.n):
-        nbrs = g.indices[g.indptr[i]:g.indptr[i + 1]]
+        nbrs = [j for j, _ in g.incident_edges(i)]
         assert (np.diff(nbrs) > 0).all()
         for j, length in g.incident_edges(i):
             assert length == pytest.approx(np.linalg.norm(ps.coords[i] - ps.coords[j]), rel=1e-15)
@@ -110,8 +120,9 @@ def test_incident_edges_match_oracle_random(rng):
 
 
 def test_max_edge_length():
-    assert delaunay([(0, 0), (3, 0), (0, 4)]).max_edge_length() == 5.0
-    assert delaunay([(0.0,), (7.0,)]).max_edge_length() == 7.0
+    # the longest edge, as the consistency experiment reads it
+    assert float(delaunay([(0, 0), (3, 0), (0, 4)]).lengths.max()) == 5.0
+    assert float(delaunay([(0.0,), (7.0,)]).lengths.max()) == 7.0
 
 
 def test_max_edge_shrinks_with_sample_size():
@@ -123,7 +134,7 @@ def test_max_edge_shrinks_with_sample_size():
             rng = np.random.default_rng(1000 + rep)
             pts = rng.normal(size=(n, 2))
             pts = pts / np.linalg.norm(pts, axis=1)[:, None] * np.sqrt(rng.uniform(0, 1, n))[:, None]
-            lams.append(delaunay(pts).max_edge_length())
+            lams.append(float(delaunay(pts).lengths.max()))
         meds[n] = float(np.median(lams))
     assert meds[500] < meds[50]
 
@@ -170,7 +181,7 @@ def test_cocircular_refused_with_subset():
 def test_jitter_mode_resolves_cocircularity():
     g = delaunay(jitter_points([(0, 0), (1, 0), (0, 1), (1, 1)], 11))
     assert len(g.edges) == 5
-    assert g.is_connected()
+    assert _connected(g)
 
 
 def test_needs_two_points():
@@ -186,20 +197,20 @@ def test_duplicate_points_rejected():
 def test_collinear_subset_is_handled():
     # a collinear triple inside a spanning set is legal input
     g = delaunay([(0, 0), (1, 1), (2, 2), (3, 0.0)])
-    assert g.is_connected()
+    assert _connected(g)
     assert g.edge_set() == delaunay_bruteforce([(0, 0), (1, 1), (2, 2), (3, 0.0)])
 
 
 @pytest.mark.parametrize("k,n,seed", [(1, 12, 0), (2, 25, 1), (3, 25, 2), (4, 20, 3)])
 def test_structural_invariants_random(k, n, seed):
     g = delaunay(random_pointset(seed, n, k))
-    adjacency = np.split(g.indices, g.indptr[1:-1])
+    adjacency = [[j for j, _ in g.incident_edges(i)] for i in range(n)]
     # symmetry and no self-loops
     for i, nbrs in enumerate(adjacency):
         assert i not in nbrs
         for j in nbrs:
             assert i in adjacency[j]
-    assert g.is_connected()
+    assert _connected(g)
     # nearest neighbor is adjacent
     coords = random_pointset(seed, n, k).coords
     for i in range(n):
@@ -602,18 +613,22 @@ def test_builder_refuses_tick_grids_with_exact_cospherical_subset(shape):
     # jitter of at most 1e-15, under an ulp at 10, leaves many coordinates
     # on the tick, so some grid cells stay exactly cospherical
     pts = _near_tick_grid(shape, 1e-15, 6)
-    k = len(shape)
     with pytest.raises(GeneralPositionError) as exc:
         delaunay(pts)
     assert exc.value.kind == "cospherical"
-    _assert_exactly_cospherical(pts[list(exc.value.subset)], k)
+    _assert_exactly_cospherical(pts, exc.value.subset)
 
 
-def _assert_exactly_cospherical(sub, k):
+def _assert_exactly_cospherical(pts, subset):
+    # k+2 points on a sphere with no point strictly inside: proof that the
+    # Delaunay triangulation is not unique
+    k = pts.shape[1]
+    sub = pts[list(subset)]
     assert len(sub) == k + 2
-    simplex = next(j for j in range(k + 2)
-                   if orient(np.delete(sub, j, axis=0)) is not Sign.ZERO)
-    assert in_sphere(np.delete(sub, simplex, axis=0), sub[simplex]) is Sign.ZERO
+    j = next(j for j in range(k + 2) if orient(np.delete(sub, j, axis=0)) is not Sign.ZERO)
+    simplex = np.delete(sub, j, axis=0)
+    assert in_sphere(simplex, sub[j]) is Sign.ZERO
+    assert (in_sphere_many(simplex, np.delete(pts, list(subset), axis=0)) <= 0).all()
 
 
 def test_refused_subset_is_the_same_in_every_run(tmp_path):
@@ -630,7 +645,7 @@ def test_refused_subset_is_the_same_in_every_run(tmp_path):
     assert len({r.stderr for r in runs}) == 1
     detail = json.loads(runs[0].stderr)["detail"]
     assert detail["kind"] == "cospherical"
-    _assert_exactly_cospherical(pts[detail["subset"]], 4)
+    _assert_exactly_cospherical(pts, detail["subset"])
 
 
 @pytest.mark.parametrize("shape", [(6, 6), (3, 3, 3), (2, 2, 2, 2)], ids=["2d", "3d", "4d"])
@@ -709,13 +724,21 @@ def test_points_on_hull_edge_stay_on_qhull():
 
 @pytest.mark.parametrize("make, n", [(_flat_hull_edge, 30), (_point_in_hull_face, 30)],
                          ids=["2d-hull-edge", "3d-hull-face"])
-def test_flat_hull_boundary_matches_builder_and_brute_force(make, n):
+def test_flat_hull_boundary_matches_builder_and_brute_force(monkeypatch, make, n):
+    # with Qhull patched out, the certificate checks the builder's cells,
+    # whose boundary has collinear or coplanar hull points
+    graphs = {}
     for seed in range(3):
         pts = make(n, seed)
-        g = delaunay(pts)
+        g = graphs[seed] = delaunay(pts)
         assert g.stats.backend == "qhull"
         assert g.simplices == _builder_simplices(PointSet(pts))
         assert g.cells.tolist() == sorted(map(list, bruteforce_simplices(pts)))
+    monkeypatch.setattr(triangulation, "_qhull_delaunay", lambda ps: None)
+    for seed in range(3):
+        g = delaunay(make(n, seed))
+        assert g.stats.backend == "incremental"
+        assert g.simplices == graphs[seed].simplices
 
 
 def test_subnormal_squared_distances_keep_the_triangulation():
@@ -754,16 +777,22 @@ def test_builder_fallback_when_qhull_raises(monkeypatch):
     assert g.stats.backend == "incremental"
 
 
-def test_unique_triangulation_for_every_insertion_seed():
+def test_unique_triangulation_for_every_insertion_seed(monkeypatch):
     # the circle through the square's corners holds (0.5, 0.5): the Delaunay
-    # triangulation is unique, whatever the builder would meet on the way
+    # triangulation is unique, whatever the builder meets on the way, from
+    # Qhull's cells or from the builder's alone
     pts = [(0, 0), (1, 0), (0, 1), (1, 1), (0.5, 0.5), (3, 0.2), (-2, 0.7)]
-    results = {delaunay(pts, insertion_seed=seed).simplices for seed in range(20)}
-    assert results == {((0, 1, 4), (0, 2, 4), (0, 2, 6), (1, 3, 4), (1, 3, 5), (2, 3, 4))}
-    for seed in range(20):
-        with pytest.raises(GeneralPositionError) as exc:
-            delaunay(pts[:4], insertion_seed=seed)
-        assert (exc.value.kind, exc.value.subset) == ("cospherical", (0, 1, 2, 3))
+    for backend in ("qhull", "incremental"):
+        if backend == "incremental":
+            monkeypatch.setattr(triangulation, "_qhull_delaunay", lambda ps: None)
+        graphs = [delaunay(pts, insertion_seed=seed) for seed in range(20)]
+        assert {g.stats.backend for g in graphs} == {backend}
+        assert {g.simplices for g in graphs} == {
+            ((0, 1, 4), (0, 2, 4), (0, 2, 6), (1, 3, 4), (1, 3, 5), (2, 3, 4))}
+        for seed in range(20):
+            with pytest.raises(GeneralPositionError) as exc:
+                delaunay(pts[:4], insertion_seed=seed)
+            assert (exc.value.kind, exc.value.subset) == ("cospherical", (0, 1, 2, 3))
 
 
 def _subprocess_env():
