@@ -237,11 +237,16 @@ def _planes(pts: np.ndarray) -> np.ndarray:
     return _cofactors(_unit_rows(_rows(pts[:, 1:], pts[:, 0], pts.shape[1] > k)))
 
 
+_exact_count = 0  # signs _exact_plane_signs has resolved in this process
+
+
 def _exact_plane_signs(pts: np.ndarray, which: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """The exact signs of _plane_signs: the same rows and the same expansion
     on the input floats as exact ints (_scaled_ints, one scale for groups
     and queries), one plane per group used, then one integer dot product
-    per query."""
+    per query. Each query adds one to _exact_count."""
+    global _exact_count
+    _exact_count += len(queries)
     used, inv = np.unique(which, return_inverse=True)
     m, g, k = len(used), pts.shape[1], pts.shape[2]
     ints = _scaled_ints(np.concatenate([pts[used].reshape(-1, k), queries]))
@@ -252,11 +257,11 @@ def _exact_plane_signs(pts: np.ndarray, which: np.ndarray, queries: np.ndarray) 
 
 
 def _plane_signs(pts: np.ndarray, h: np.ndarray, which: np.ndarray,
-                 queries: np.ndarray) -> tuple[np.ndarray, int]:
+                 queries: np.ndarray) -> np.ndarray:
     """Exact signs of h[which[i]] . x_i, for the _planes h of the groups pts
     and x_i the row of queries[i] against pts[which[i], 0], built alike: one
     float dot product per query, and _exact_plane_signs where it is within
-    _cofactor_bound. Also returns how many signs went to exact arithmetic.
+    _cofactor_bound.
     """
     k = queries.shape[1]
     lift = pts.shape[1] > k
@@ -268,7 +273,7 @@ def _plane_signs(pts: np.ndarray, h: np.ndarray, which: np.ndarray,
     unsure = np.abs(dots) <= _cofactor_bound(h.shape[1], 2.0 * (k + 3) if lift else 1.0)
     if unsure.any():
         signs[unsure] = _exact_plane_signs(pts, which[unsure], queries[unsure])
-    return signs, int(unsure.sum())
+    return signs
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +290,15 @@ def _as_points(points) -> np.ndarray:
 
 
 def _plane_orient_signs(faces: np.ndarray, h: np.ndarray, which: np.ndarray,
-                        queries: np.ndarray) -> tuple[np.ndarray, int]:
+                        queries: np.ndarray) -> np.ndarray:
     """Exact orientation signs of (queries[i], *faces[which[i]]) for an
-    (m, k, k) batch of faces with hyperplanes h from _planes, and how many
-    of them went to exact arithmetic."""
-    signs, exact = _plane_signs(faces, h, which, queries)
+    (m, k, k) batch of faces with hyperplanes h from _planes."""
     # the query row comes last in the dot product: k swaps move it first
-    return signs * (-1) ** faces.shape[2], exact
+    return _plane_signs(faces, h, which, queries) * (-1) ** faces.shape[2]
 
 
-def _orient_signs(simplices: np.ndarray) -> tuple[np.ndarray, int]:
-    """Exact orientation signs of an (m, k+1, k) batch of simplices, and how
-    many of them went to exact arithmetic."""
+def _orient_signs(simplices: np.ndarray) -> np.ndarray:
+    """Exact orientation signs of an (m, k+1, k) batch of simplices."""
     faces = simplices[:, 1:]
     return _plane_orient_signs(faces, _planes(faces), np.arange(len(faces)), simplices[:, 0])
 
@@ -310,24 +312,22 @@ def orient(simplex) -> Sign:
     k = pts.shape[1]
     if pts.shape[0] != k + 1:
         raise GeometryError(f"orientation in R^{k} needs {k + 1} points, got {pts.shape[0]}")
-    return Sign(int(_orient_signs(pts[None])[0][0]))
+    return Sign(int(_orient_signs(pts[None])[0]))
 
 
-def _lifted_planes(simplices: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _lifted_planes(simplices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One lifted hyperplane h per simplex of an (m, k+1, k) batch (_planes),
-    with the exact orientation signs (_lifted_orients). Returns h, the signs
-    and how many of them went to exact arithmetic.
+    with the exact orientation signs (_lifted_orients): returns (h, signs).
     """
     h = _planes(simplices)
-    return (h, *_lifted_orients(h, simplices.__getitem__))
+    return h, _lifted_orients(h, simplices.__getitem__)
 
 
-def _lifted_orients(h: np.ndarray, simplices) -> tuple[np.ndarray, int]:
+def _lifted_orients(h: np.ndarray, simplices) -> np.ndarray:
     """Exact orientation signs of simplices from their lifted hyperplanes h:
     those of h_k, or where h_k is within the bound, the exact sign. Only
     there are the points needed: simplices(unsure) gives them, (u, k+1, k)
-    for a boolean mask over the rows of h. Also returns how many signs went
-    to exact arithmetic.
+    for a boolean mask over the rows of h.
     """
     k = h.shape[1] - 1
     signs = np.sign(h[:, k]).astype(np.int64)
@@ -336,18 +336,17 @@ def _lifted_orients(h: np.ndarray, simplices) -> tuple[np.ndarray, int]:
         rest = simplices(unsure)
         signs[unsure] = _exact_plane_signs(rest[:, 1:], np.arange(len(rest)),
                                            rest[:, 0]) * (-1) ** k
-    return signs, int(unsure.sum())
+    return signs
 
 
 def _plane_insphere_signs(simplices: np.ndarray, h: np.ndarray, orients: np.ndarray,
-                          which: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, int]:
+                          which: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Position of queries[i] relative to the circumsphere of
     simplices[which[i]] (1 strictly inside, 0 on, -1 outside), from the
     simplices' _lifted_planes h and orientation signs: one dot product per
-    query. Also returns how many signs went to exact arithmetic.
+    query.
     """
-    signs, exact = _plane_signs(simplices, h, which, queries)
-    return -signs * orients[which], exact
+    return -_plane_signs(simplices, h, which, queries) * orients[which]
 
 
 def in_sphere_many(simplex, queries) -> np.ndarray:
@@ -368,10 +367,10 @@ def in_sphere_many(simplex, queries) -> np.ndarray:
     with np.errstate(over="ignore"):
         if not np.isfinite(4.0 * k * max(np.abs(pts).max(), np.abs(qs).max(initial=0)) ** 2):
             raise OverflowError("squared distances between the points overflow a float")
-    h, orients, _ = _lifted_planes(pts[None])
+    h, orients = _lifted_planes(pts[None])
     if not orients[0]:
         raise DegenerateSimplexError("in_sphere needs an affinely independent simplex")
-    return _plane_insphere_signs(pts[None], h, orients, np.zeros(len(qs), dtype=np.int64), qs)[0]
+    return _plane_insphere_signs(pts[None], h, orients, np.zeros(len(qs), dtype=np.int64), qs)
 
 
 def in_sphere(simplex, query) -> Sign:

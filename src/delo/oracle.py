@@ -123,7 +123,14 @@ def _base_planes(lifted: np.ndarray, a: int, k: int, block: int):
 
 
 def bruteforce_simplices(points) -> list[tuple[int, ...]]:
-    """All (k+1)-subsets whose circumsphere is empty of other sample points."""
+    """All (k+1)-subsets whose circumsphere is empty of other sample points.
+
+    A point on a subset's circumsphere, with none strictly inside, puts k+2
+    points on an empty sphere: the Delaunay triangulation is not unique, and
+    the first such subset, in combinations order, is refused with its first
+    point on the sphere (cospherical). Points that do not span raise
+    affine_span.
+    """
     ps = _as_pointset(points)
     n, k = ps.n, ps.dim
     if n < k + 1:
@@ -142,7 +149,7 @@ def bruteforce_simplices(points) -> list[tuple[int, ...]]:
     block = max(1, _BLOCK_ENTRIES // n)
     for a in range(n - k):
         for sub, h in _base_planes(lifted, a, k, block):
-            orients, _ = _lifted_orients(h, lambda rows: coords[sub[rows]])
+            orients = _lifted_orients(h, lambda rows: coords[sub[rows]])
             # o D(q) for every q at once, by einsum: `@` would go to BLAS,
             # which may run threaded for more CPU time and no less wall time
             dets = np.einsum("bj,qj->bq", h * orients[:, None], lifted[a])
@@ -152,17 +159,21 @@ def bruteforce_simplices(points) -> list[tuple[int, ...]]:
             near[ar, sub] = False
             near[orients == 0] = False
             outside = dets > 0
+            outside[ar, sub] = True
             if near.any():
                 r, q = np.nonzero(near)
                 used, which = np.unique(r, return_inverse=True)
                 signs = _exact_plane_signs(coords[sub[used]], which, coords[q]) * orients[r]
-                if not signs.all():  # the first zero, in combinations order
-                    z = int(np.argmin(np.abs(signs)))
-                    subset = tuple(sorted(sub[r[z]].tolist() + [int(q[z])]))
-                    raise GeneralPositionError("cospherical", subset,
-                                               f"points {subset} lie on a common sphere")
                 outside[r, q] = signs > 0
-            outside[ar, sub] = True
+                if not signs.all():  # refused only with no point strictly inside
+                    on = np.zeros_like(outside)
+                    on[r, q] = signs == 0
+                    empty = on.any(axis=1) & (outside | on).all(axis=1)
+                    if empty.any():
+                        b = int(np.argmax(empty))
+                        subset = tuple(sorted(sub[b].tolist() + [int(np.argmax(on[b]))]))
+                        raise GeneralPositionError("cospherical", subset,
+                                                   f"points {subset} lie on a common sphere")
             spans |= bool(orients.any())
             accepted += sub[(orients != 0) & outside.all(axis=1)].tolist()
     if not spans:

@@ -11,23 +11,25 @@ pass every check but a few ridges are not locally Delaunay (Qhull splits
 facets it merged for precision in any order), bistellar flips repair them
 on the certificate's ridge table, signing only the ridges they create.
 
-Otherwise -- k = 1, Qhull failing, or a check or a flip failing -- the
-points are lifted to the paraboloid in R^(k+1), the incremental
+Otherwise -- Qhull failing, or a check or a flip failing -- the points are
+lifted to the paraboloid in R^(k+1), the incremental
 beneath-beyond algorithm with conflict lists builds their convex hull, and
 the downward-facing facets project back to the cells. Every visibility
 decision is the exact side of a lifted point relative to a facet's lifted
 hyperplane, one hyperplane per facet from the kernel the certificate, the
 flips and the predicates share (geometry._planes: cofactors, a float
 filter, and the same expansion on exact integers). A point on a facet's
-hyperplane does not see it, so the builder always finishes, and for k >= 2
-its cells go through the same certificate.
+hyperplane does not see it, so the builder always finishes, and its cells
+go through the same certificate.
 
 Certified cells with no positive in-sphere sign are weakly Delaunay: no
 point lies strictly inside any cell's circumsphere. If every sign is
 negative they are the unique Delaunay triangulation. A zero sign at a ridge
 puts the cell and the vertex across it, k+2 points, on a sphere with no
 point strictly inside; that subset is the one degeneracy refusal, besides
-points that do not span R^k or all lie on one sphere.
+points that do not span R^k or all lie on one sphere. In 1-D no three
+distinct values are cospherical, and each value joins the next in sorted
+order.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import geometry
 from .geometry import (
     GeneralPositionError,
     GeometryError,
@@ -58,11 +61,13 @@ class BuildStats:
     """How a triangulation was obtained.
 
     backend is "qhull" when Qhull's cells passed the certificate, flipped
-    where a ridge was not Delaunay; then facets_created counts the certified
-    cells and exact_fallbacks the signs the certificate and the flips
-    resolved exactly. It is "incremental" for the exact builder, where they
-    count the hull facets created and the side signs it resolved exactly,
-    and for sets of at most k+1 points, which need no hull.
+    where a ridge was not Delaunay, and facets_created counts the certified
+    cells. It is "incremental" for the exact builder, where facets_created
+    counts the hull facets created, and for 1-D sets and sets of at most
+    k+1 points, which need no hull (0 facets). exact_fallbacks counts every
+    sign of the call that the float filter left to exact arithmetic,
+    whichever backend answered: a failed Qhull certificate, the builder and
+    the certificate of its cells included.
     """
 
     facets_created: int
@@ -143,7 +148,6 @@ class _HullBuilder:
         # a refusal is an insertion-ordered dict, never a set
         self.facets: dict[_Facet, None] = {}
         self.point_conflicts: dict[int, dict[_Facet, None]] = {}
-        self.fallbacks = 0
         self.created = 0
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(insertion_seed)))
         self.order = [int(i) for i in rng.permutation(self.n)]
@@ -151,9 +155,7 @@ class _HullBuilder:
     def _sides(self, verts: np.ndarray, which: np.ndarray, queries: list[int]) -> np.ndarray:
         """The side of the facet verts[which[i]] that point queries[i] lies on."""
         pts = self.coords[verts]
-        signs, exact = _plane_signs(pts, _planes(pts), which, self.coords[queries])
-        self.fallbacks += exact
-        return signs
+        return _plane_signs(pts, _planes(pts), which, self.coords[queries])
 
     def _assign(self, facets: list[_Facet], candidates: list[list[int]]):
         """Add each facet's candidate points that see it to its conflicts. A
@@ -270,7 +272,7 @@ class _HullBuilder:
         Delaunay cells. The hull lies above them, and a point far above a
         facet lies on the side of its projected orientation."""
         facets = list(self.facets)
-        signs, _ = _orient_signs(self.coords[np.array([f.verts for f in facets])])
+        signs = _orient_signs(self.coords[np.array([f.verts for f in facets])])
         return [f.verts for f, s in zip(facets, signs.tolist()) if s == f.ref]
 
 
@@ -321,13 +323,12 @@ class _Ridges:
     cells[c] omits its vertex j; opposite[f] is the face across it (-1 on
     the hull boundary), and signs[f] the exact in-sphere sign (1 inside, 0
     on, -1 outside) of the vertex across f against cells[c]'s circumsphere,
-    -1 on the boundary. exact counts the signs resolved in exact arithmetic.
+    -1 on the boundary.
     """
 
     cells: np.ndarray
     opposite: np.ndarray
     signs: np.ndarray
-    exact: int
 
 
 def _check(coords: np.ndarray, cells) -> _Ridges | None:
@@ -383,7 +384,7 @@ def _check(coords: np.ndarray, cells) -> _Ridges | None:
         return None
     cells = cells[_sorted_rows(cells, n)[0]]
     pts = coords[cells]
-    h, sigma, exact = _lifted_planes(pts)
+    h, sigma = _lifted_planes(pts)
     if not sigma.all():
         return None
 
@@ -413,8 +414,7 @@ def _check(coords: np.ndarray, cells) -> _Ridges | None:
         return None
     x = np.concatenate([order[0::2], order[1::2]]) // k  # face i is of wall i // k
     y = np.concatenate([order[1::2], order[0::2]])
-    convex, e = _plane_orient_signs(walls, planes, x, coords[dropped[y]])
-    exact += e
+    convex = _plane_orient_signs(walls, planes, x, coords[dropped[y]])
     if ((convex != side[bnd[x]]) & (convex != 0)).any():
         return None
 
@@ -429,25 +429,23 @@ def _check(coords: np.ndarray, cells) -> _Ridges | None:
     cand = np.nonzero(near)[0]
     swapped = np.repeat(pts[cand], k + 1, axis=0)
     swapped[np.arange(len(swapped)), np.tile(np.arange(k + 1), len(cand))] = p
-    loc, e = _orient_signs(swapped)
-    exact += e
+    loc = _orient_signs(swapped)
     inside = loc.reshape(len(cand), k + 1) * sigma[cand][:, None]
     mine = cand == c0
     if not (inside[mine] > 0).all() or (inside[~mine] >= 0).all(axis=1).any():
         return None
-    seen, e = _plane_orient_signs(walls, planes, np.arange(len(bnd)),
-                                  np.broadcast_to(p, (len(bnd), k)))
-    exact += e
+    seen = _plane_orient_signs(walls, planes, np.arange(len(bnd)),
+                               np.broadcast_to(p, (len(bnd), k)))
     if (seen != side[bnd]).any():
         return None
 
     # b's apex against a's circumsphere: the sign of the lifted orientation
     # of the ridge and both apexes, so a's apex against b's is the same
-    inside, e = _plane_insphere_signs(pts, h, sigma, a // (k + 1), coords[apex[b]])
+    inside = _plane_insphere_signs(pts, h, sigma, a // (k + 1), coords[apex[b]])
     opposite, signs = np.full((2, m * (k + 1)), -1)
     opposite[a], opposite[b] = b, a
     signs[a] = signs[b] = inside
-    return _Ridges(cells, opposite, signs, exact + e)
+    return _Ridges(cells, opposite, signs)
 
 
 def _flip_to_delaunay(coords: np.ndarray, table: _Ridges) -> bool:
@@ -495,9 +493,7 @@ def _flip_to_delaunay(coords: np.ndarray, table: _Ridges) -> bool:
         v = int(cells.flat[opposite[f]])
         verts = sorted(cells[c].tolist() + [v])
         circuit = [verts[:i] + verts[i + 1:] for i in range(k + 2)]
-        lam, e = _orient_signs(coords[np.array(circuit)])
-        table.exact += e
-        lam = (lam * (-1) ** np.arange(k + 2)).tolist()
+        lam = (_orient_signs(coords[np.array(circuit)]) * (-1) ** np.arange(k + 2)).tolist()
         if 0 in lam:
             return False
         side = lam[verts.index(v)]
@@ -519,10 +515,9 @@ def _flip_to_delaunay(coords: np.ndarray, table: _Ridges) -> bool:
         faces = np.arange(first * d, len(opposite))
         other = opposite[faces]
         faces = faces[(other > faces) | ((0 <= other) & (other < first * d))]
-        h, sigma, e = _lifted_planes(coords[made])
-        inside, e2 = _plane_insphere_signs(coords[made], h, sigma, faces // d - first,
-                                           coords[cells.flat[opposite[faces]]])
-        table.exact += e + e2
+        h, sigma = _lifted_planes(coords[made])
+        inside = _plane_insphere_signs(coords[made], h, sigma, faces // d - first,
+                                       coords[cells.flat[opposite[faces]]])
         opposite[opposite[faces]] = faces
         signs[faces] = signs[opposite[faces]] = inside
         todo += faces[inside > 0].tolist()
@@ -572,34 +567,36 @@ def delaunay(points, *, insertion_seed: int = 0) -> DelaunayGraph:
     ps = points if isinstance(points, PointSet) else PointSet(np.asarray(points, dtype=np.float64))
     if ps.n < 2:
         raise GeometryError("triangulation needs at least 2 points")
-    k = ps.dim
+    n, k = ps.n, ps.dim
     with np.errstate(over="ignore"):
         if not np.isfinite(4.0 * k * np.abs(ps.coords).max() ** 2):
             # |p - q|^2, an entry of every in-sphere matrix, would overflow
             raise OverflowError("squared distances between the points overflow a float")
 
-    if ps.n <= k + 1:
+    exact = geometry._exact_count
+    facets, backend = 0, "incremental"
+    if n <= k + 1:
         if not is_affinely_independent(ps.coords):
             raise GeneralPositionError(
-                "affine_span", tuple(range(ps.n)),
+                "affine_span", tuple(range(n)),
                 "small point set is affinely dependent; no unique dual graph")
-        cells = np.arange(ps.n)[None]  # every pair is an edge
-        stats = BuildStats(0, 0, "incremental")
+        cells = np.arange(n)[None]  # every pair is an edge
     elif k == 1:
-        # three distinct points on a line are never cospherical
-        builder = _HullBuilder(ps, insertion_seed)
-        cells = np.array(sorted(builder.build()), dtype=np.int64)
-        stats = BuildStats(builder.created, builder.fallbacks, "incremental")
+        # distinct values on a line, never three on a sphere: each cell joins
+        # a value to the next in sorted order, rows ordered as _check's
+        order = np.argsort(ps.coords[:, 0])
+        cells = np.sort(np.column_stack([order[:-1], order[1:]]), axis=1)
+        cells = cells[_sorted_rows(cells, n)[0]]
     else:
         table = _qhull_delaunay(ps)
         if table is not None:
-            stats = BuildStats(len(table.cells), table.exact, "qhull")
+            facets, backend = len(table.cells), "qhull"
         else:
             builder = _HullBuilder(ps, insertion_seed)
             table = _check(ps.coords, builder.build())
             if table is None or (table.signs > 0).any():
                 raise RuntimeError("the exact builder's cells failed the certificate")
-            stats = BuildStats(builder.created, builder.fallbacks, "incremental")
+            facets = builder.created
         # certified with no positive sign, the cells are weakly Delaunay: no
         # point lies strictly inside a circumsphere. A zero sign puts the
         # vertex across a face on its cell's: k+2 points on an empty sphere.
@@ -615,9 +612,8 @@ def delaunay(points, *, insertion_seed: int = 0) -> DelaunayGraph:
 
     # the edges are the vertex pairs of the cells (rows ascend, so i < j),
     # deduplicated and ordered by the key i*n + j; every point has one, as
-    # _check refuses cells that miss a point and in 1-D every lifted point is
-    # a vertex of the lower hull
-    n = ps.n
+    # _check refuses cells that miss a point and in 1-D every value joins
+    # its neighbours
     pairs = cells[:, list(combinations(range(cells.shape[1]), 2))]
     keys = np.sort(pairs[..., 0] * n + pairs[..., 1], axis=None)
     keys = keys[np.diff(keys, prepend=-1) != 0]
@@ -628,6 +624,6 @@ def delaunay(points, *, insertion_seed: int = 0) -> DelaunayGraph:
         dim=k,
         edges=np.column_stack([i, j]),
         lengths=np.linalg.norm(ps.coords[i] - ps.coords[j], axis=1),
-        cells=cells if ps.n > k else np.empty((0, k + 1), dtype=np.int64),
-        stats=stats,
+        cells=cells if n > k else np.empty((0, k + 1), dtype=np.int64),
+        stats=BuildStats(facets, geometry._exact_count - exact, backend),
     )

@@ -327,6 +327,19 @@ def test_triangulate_oracle_agreement(capsys, tmp_path):
     assert [e[:2] for e in obj["edges"]] == [[0, 1], [0, 2], [0, 3], [1, 3], [2, 3]]
 
 
+def test_triangulate_oracle_accepts_cospherical_points_around_a_point_inside(capsys, tmp_path):
+    # the four points on the unit circle are cospherical, but every circle
+    # through three of them holds (0, 0): both sides give the unique fan
+    p = tmp_path / "circle.csv"
+    p.write_text("1,0\n-1,0\n0,1\n0,-1\n0,0\n")
+    code, out, _ = run(capsys, "triangulate", str(p), "--oracle")
+    assert code == 0
+    assert out.splitlines()[-1] == "# oracle_agreement=true"
+    data = [l.split(",")[:2] for l in out.splitlines() if l and not l.startswith(("#", "i,"))]
+    assert data == [["0", "2"], ["0", "3"], ["0", "4"], ["1", "2"], ["1", "3"], ["1", "4"],
+                    ["2", "4"], ["3", "4"]]
+
+
 def test_triangulate_degenerate_square_exit_2(capsys, square):
     code, _, err = run(capsys, "triangulate", square)
     assert code == 2

@@ -236,7 +236,7 @@ def test_batched_orientation_matches_orient(k, rng):
     w = rng.dirichlet(np.ones(k), 30)
     simplices[30:, -1] = (np.einsum("mi,mij->mj", w, simplices[30:, :-1])
                           + rng.uniform(-1e-14, 1e-14, (30, k)))
-    signs, _ = _orient_signs(simplices)
+    signs = _orient_signs(simplices)
     assert signs.tolist() == [int(orient(s)) for s in simplices]
 
 

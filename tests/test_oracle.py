@@ -76,12 +76,13 @@ CUBE = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
 
 
 @pytest.mark.parametrize("pts,kind,subset", [
-    # (0, 1, 2, 3) is the flat face x = 0; the first live subset meets corner 3
-    (CUBE + [(0.5, 0.5, 0.4)], "cospherical", (0, 1, 2, 3, 4)),
-    ([(1, 0), (-1, 0), (0, 1), (0, -1), (0, 0)], "cospherical", (0, 1, 2, 3)),
+    # (0, 1, 2, 3) is the flat face x = 0, and the cube's circumsphere holds
+    # point 8 strictly inside: the first empty sphere is that of (0, 1, 2, 8),
+    # with corner 3 on it
+    (CUBE + [(0.5, 0.5, 0.4)], "cospherical", (0, 1, 2, 3, 8)),
     ([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)], "affine_span", (0, 1, 2, 3, 4)),
     ([(0, 0), (1, 1), (2, 2)], "affine_span", (0, 1, 2)),  # n = k+1
-], ids=["cube-corners", "circle-with-centre", "collinear", "collinear-n=k+1"])
+], ids=["cube-corners", "collinear", "collinear-n=k+1"])
 def test_bruteforce_refusals_name_kind_and_subset(pts, kind, subset):
     with pytest.raises(GeneralPositionError) as exc:
         delaunay_bruteforce(pts)
@@ -91,11 +92,26 @@ def test_bruteforce_refusals_name_kind_and_subset(pts, kind, subset):
     assert (ref.value.kind, ref.value.subset) == (kind, subset)
 
 
+CIRCLE_WITH_CENTRE = [(1, 0), (-1, 0), (0, 1), (0, -1), (0, 0)]
+
+
+def test_bruteforce_accepts_cospherical_points_around_a_point_inside():
+    # four points on the unit circle, every circle through three of them
+    # holding (0, 0) strictly inside: the triangulation is unique, the fan
+    assert bruteforce_simplices(CIRCLE_WITH_CENTRE) == [(0, 2, 4), (0, 3, 4), (1, 2, 4), (1, 3, 4)]
+    assert bruteforce_simplices(CIRCLE_WITH_CENTRE) == _reference_simplices(
+        np.asarray(CIRCLE_WITH_CENTRE, dtype=float))
+    assert delaunay(CIRCLE_WITH_CENTRE).simplices == tuple(
+        bruteforce_simplices(CIRCLE_WITH_CENTRE))
+
+
 def _reference_simplices(pts):
     """The definition, one subset at a time: every (k+1)-subset with nonzero
     orientation and no other point inside or on its circumsphere. The first
-    subset, in lexicographic order, with a point on its circumsphere is
-    refused; a set with no full-dimensional subset does not span."""
+    subset, in lexicographic order, with a point on its circumsphere and
+    none strictly inside is refused, naming its first point on the sphere:
+    k+2 points on an empty sphere. A set with no full-dimensional subset
+    does not span."""
     n, k = pts.shape
     subsets = [s for s in combinations(range(n), k + 1)
                if orient(pts[list(s)]) is not Sign.ZERO]
@@ -105,11 +121,12 @@ def _reference_simplices(pts):
     for s in subsets:
         others = [q for q in range(n) if q not in s]
         signs = in_sphere_many(pts[list(s)], pts[others]) if others else np.zeros(0)
+        if (signs > 0).any():
+            continue
         if (signs == 0).any():
             q = others[int(np.argmax(signs == 0))]
             raise GeneralPositionError("cospherical", tuple(sorted(s + (q,))), "on sphere")
-        if not (signs > 0).any():
-            accepted.append(s)
+        accepted.append(s)
     return accepted
 
 
@@ -207,12 +224,13 @@ def test_bruteforce_in_runs_of_a_few_subsets_equals_reference(k, monkeypatch):
 
 @pytest.mark.parametrize("entries", [1, 30])
 @pytest.mark.parametrize("pts,subset", [
-    (CUBE + [(0.5, 0.5, 0.4)], (0, 1, 2, 3, 4)),
-    ([(1, 0), (-1, 0), (0, 1), (0, -1), (0, 0)], (0, 1, 2, 3)),
-], ids=["cube-corners", "circle-with-centre"])
+    (CUBE + [(0.5, 0.5, 0.4)], (0, 1, 2, 3, 8)),
+    ([(0, 0), (1, 0), (0, 1), (1, 1), (5, 5)], (0, 1, 2, 3)),
+], ids=["cube-corners", "square-and-far-point"])
 def test_bruteforce_in_runs_of_a_few_subsets_names_the_same_subset(pts, subset, entries,
                                                                     monkeypatch):
-    # with one subset per run, the cube's refusal comes in its second run
+    # with one subset per run, the cube's refusal comes in a later run than
+    # the subsets before it whose spheres hold point 8
     _runs_of_a_few_subsets(monkeypatch, entries)
     with pytest.raises(GeneralPositionError) as exc:
         bruteforce_simplices(pts)

@@ -14,6 +14,7 @@ from delo import (
     GeometryError,
     PointSet,
     delaunay,
+    geometry,
     in_sphere_many,
     jitter_points,
     triangulation,
@@ -29,6 +30,7 @@ from delo.geometry import (
     orient,
 )
 from delo.triangulation import (
+    BuildStats,
     _HullBuilder,
     _check,
     _flip_to_delaunay,
@@ -271,6 +273,23 @@ def test_1d_delaunay_is_path():
     assert g.edge_set() == expected
 
 
+def test_1d_delaunay_equals_builder():
+    # sorted order gives the builder's cells, rows in the same order, on
+    # heavy-tailed values, some rounded to a 0.01 tick
+    rng = np.random.default_rng(1)
+    for n in (2, 3, 4, 9, 60, 300):
+        for tick in (False, True):
+            xs = rng.standard_t(3, n)
+            if tick:
+                xs = np.unique(np.round(xs, 2))
+                xs = xs[rng.permutation(len(xs))]
+            ps = PointSet(xs[:, None])
+            g = delaunay(ps)
+            want = [[0, 1]] if ps.n == 2 else sorted(map(list, _HullBuilder(ps, 0).build()))
+            assert g.cells.tolist() == want
+            assert g.stats == BuildStats(0, 0, "incremental")
+
+
 def test_interior_point_fan():
     # one point inside a triangle: three cells fan around it
     g = delaunay([(0, 0), (4, 0), (0, 4), (1, 1)])
@@ -381,9 +400,8 @@ def test_certificate_rejects_boundary_folded_over_a_slit(monkeypatch, k):
     signs, insphere = [], []
 
     def plane_orient(*args):
-        out = plane_orient_signs(*args)
-        signs.append(out[0])
-        return out
+        signs.append(plane_orient_signs(*args))
+        return signs[-1]
 
     plane_orient_signs = triangulation._plane_orient_signs
     monkeypatch.setattr(triangulation, "_plane_orient_signs", plane_orient)
@@ -582,6 +600,39 @@ def test_builder_far_from_origin_needs_no_exact_signs(monkeypatch):
     assert g.stats.exact_fallbacks == 0
 
 
+def _counting_exact_signs(monkeypatch):
+    """The number of queries each call of geometry._exact_plane_signs gets,
+    recorded as the calls come."""
+    counted = []
+    exact_plane_signs = geometry._exact_plane_signs
+
+    def counting(pts, which, queries):
+        counted.append(len(queries))
+        return exact_plane_signs(pts, which, queries)
+
+    monkeypatch.setattr(geometry, "_exact_plane_signs", counting)
+    return counted
+
+
+@pytest.mark.parametrize("qhull", [True, False], ids=["qhull-refused", "qhull-patched-out"])
+def test_exact_fallbacks_count_every_exact_sign_of_a_builder_call(monkeypatch, qhull):
+    # the certificate of Qhull's cells, which fails here, the builder's side
+    # signs, its lower-facet orientations and the certificate of its cells
+    counted = _counting_exact_signs(monkeypatch)
+    if not qhull:
+        monkeypatch.setattr(triangulation, "_qhull_delaunay", lambda ps: None)
+    g = delaunay(_near_tick_grid((3, 3, 3), 1e-13, 0))
+    assert g.stats.backend == "incremental"
+    assert g.stats.exact_fallbacks == sum(counted) > 0
+
+
+def test_exact_fallbacks_count_every_exact_sign_of_a_qhull_call(monkeypatch):
+    counted = _counting_exact_signs(monkeypatch)
+    g = delaunay(_jittered_grid((8, 8, 8), 3))
+    assert g.stats.backend == "qhull"
+    assert g.stats.exact_fallbacks == sum(counted) > 0
+
+
 def test_overflowing_squared_distances_raise():
     # raised before either engine runs, as the in-sphere matrices hold |p - q|^2
     pts = np.random.default_rng(0).uniform(-1, 1, (8, 2)) * 1e160
@@ -658,7 +709,7 @@ def test_certificate_insphere_signs_equal_in_sphere_on_tick_grids(shape, jitter)
     for seed in range(3):
         pts = _near_tick_grid(shape, jitter, seed)
         cells = np.sort(qhull_delaunay(pts).simplices, axis=1)
-        h, sigma, _ = _lifted_planes(pts[cells])
+        h, sigma = _lifted_planes(pts[cells])
         assert sigma.tolist() == [int(orient(pts[c])) for c in cells]
         at = {}
         for i, c in enumerate(cells.tolist()):
@@ -667,8 +718,8 @@ def test_certificate_insphere_signs_equal_in_sphere_on_tick_grids(shape, jitter)
         pairs = [(i, w) for both in at.values() if len(both) == 2
                  for (i, _), (_, w) in (both, both[::-1]) if sigma[i]]
         which = np.array([i for i, _ in pairs])
-        signs, _ = _plane_insphere_signs(pts[cells], h, sigma, which,
-                                         pts[[w for _, w in pairs]])
+        signs = _plane_insphere_signs(pts[cells], h, sigma, which,
+                                      pts[[w for _, w in pairs]])
         assert signs.tolist() == [int(in_sphere(pts[cells[i]], pts[w])) for i, w in pairs]
 
 
