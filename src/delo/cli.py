@@ -170,7 +170,9 @@ def _load(args):
         raise CLIInputError(f"--delimiter must be one character, got {args.delimiter!r}")
     spec = ColumnSpec(columns=parse_columns(args.columns),
                       delimiter=args.delimiter, header=args.header)
-    jitter_seed = args.jitter_seed if args.jitter else None
+    if args.jitter_seed is not None and not args.jitter:
+        raise CLIInputError("--jitter-seed needs --jitter")
+    jitter_seed = (args.jitter_seed or 0) if args.jitter else None
     return ingest_csv(args.input, spec, strict=not args.lenient,
                       jitter_seed=jitter_seed)
 
@@ -300,7 +302,8 @@ def _add_io_args(p):
                    help="skip unparseable rows instead of failing")
     p.add_argument("--jitter", action="store_true",
                    help="perturb coordinates by 1e-9 x bbox diameter (seeded)")
-    p.add_argument("--jitter-seed", type=int, default=0, help="non-negative seed of --jitter")
+    p.add_argument("--jitter-seed", type=int, default=None,
+                   help="non-negative seed of --jitter (default 0)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="output path (default stdout)")
 

@@ -196,6 +196,13 @@ def _cofactor_bound(d: int, entry_ulps: float) -> float:
     return 1.01 * _FACT[d] * EPS * (d * entry_ulps + d * (d + 1) / 2)
 
 
+def _entry_ulps(k: int, lift: bool) -> float:
+    """The error of the entries of _rows in R^k, scaled by _unit_rows, in
+    EPS of the row maximum: 1 for differences, and 2 (k + 3) for lifted
+    rows, about k + 3 roundings for |p - q|^2, doubled."""
+    return 2.0 * (k + 3) if lift else 1.0
+
+
 def _scaled_ints(arr: np.ndarray) -> np.ndarray:
     """The floats of arr as exact Python ints in an object array shaped like
     arr, all scaled by one power of two.
@@ -268,9 +275,7 @@ def _plane_signs(pts: np.ndarray, h: np.ndarray, which: np.ndarray,
     x = _unit_rows(_rows(queries[:, None], pts[which, 0], lift))[:, 0]
     dots = np.einsum("ij,ij->i", h[which], x)
     signs = np.sign(dots).astype(np.int64)
-    # entries are within 1 EPS of the row maximum for differences, and within
-    # 2 (k + 3) EPS for lifted rows: about k + 3 roundings for |p - q|^2, doubled
-    unsure = np.abs(dots) <= _cofactor_bound(h.shape[1], 2.0 * (k + 3) if lift else 1.0)
+    unsure = np.abs(dots) <= _cofactor_bound(h.shape[1], _entry_ulps(k, lift))
     if unsure.any():
         signs[unsure] = _exact_plane_signs(pts, which[unsure], queries[unsure])
     return signs
@@ -331,7 +336,7 @@ def _lifted_orients(h: np.ndarray, simplices) -> np.ndarray:
     """
     k = h.shape[1] - 1
     signs = np.sign(h[:, k]).astype(np.int64)
-    unsure = np.abs(h[:, k]) <= _cofactor_bound(k + 1, 2.0 * (k + 3))
+    unsure = np.abs(h[:, k]) <= _cofactor_bound(k + 1, _entry_ulps(k, True))
     if unsure.any():
         rest = simplices(unsure)
         signs[unsure] = _exact_plane_signs(rest[:, 1:], np.arange(len(rest)),
@@ -411,6 +416,13 @@ def affinely_independent_subset(coords) -> list[int]:
     return chosen
 
 
+def _stream(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
+    """The seeded Philox stream of every random draw in delo: the jitter,
+    the builder's insertion order and each experiment replicate's sample."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
+    return np.random.Generator(np.random.Philox(seq))
+
+
 def jitter_points(points, seed: int) -> PointSet:
     """Perturb each coordinate by a uniform offset of 1e-9 x bbox diameter.
 
@@ -429,6 +441,5 @@ def jitter_points(points, seed: int) -> PointSet:
     if diam == 0.0:
         diam = 1.0
     mag = 1e-9 * diam
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    offsets = rng.uniform(-mag, mag, size=arr.shape)
+    offsets = _stream(seed).uniform(-mag, mag, size=arr.shape)
     return PointSet(arr + offsets)

@@ -34,7 +34,8 @@ n^(k+2), and they exist to check the triangulation on small sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -45,6 +46,7 @@ from .geometry import (
     PointSet,
     _cofactor_bound,
     _cofactors,
+    _entry_ulps,
     _exact_plane_signs,
     _lifted_orients,
     _rows,
@@ -144,7 +146,7 @@ def bruteforce_simplices(points) -> list[tuple[int, ...]]:
     # circumsphere iff o D(q) < 0 for the orientation o. D is within
     # _cofactor_bound of its exact value, as the rows of h and lifted[p_0, q]
     # are built alike.
-    bound = _cofactor_bound(k + 1, 2.0 * (k + 3))
+    bound = _cofactor_bound(k + 1, _entry_ulps(k, True))
     accepted, spans = [], False
     block = max(1, _BLOCK_ENTRIES // n)
     for a in range(n - k):
@@ -303,30 +305,15 @@ def _pair_witnesses(coords: np.ndarray, I: np.ndarray, J: np.ndarray):
     return outcome, mid + scale[:, None] * np.einsum("pij,pj->pi", basis, t)
 
 
-@dataclass
-class _SetMemo:
-    """A validated point set, keyed by its shape and float64 bytes, with the
-    witness batches solved for it so far."""
-    shape: tuple
-    data: bytes
-    ps: PointSet
-    batch: int  # pairs per batch of LPs
-    solved: dict = field(default_factory=dict)  # batch number -> (outcome, witness)
-
-
-_memo: _SetMemo | None = None
-
-
-def _memo_for(points) -> _SetMemo:
-    global _memo
-    arr = points.coords if isinstance(points, PointSet) else np.asarray(points, dtype=np.float64)
-    data = arr.tobytes()
-    if _memo is None or _memo.shape != arr.shape or _memo.data != data:
-        ps = _as_pointset(points)  # raises for an invalid set, before it is kept
-        n, k = ps.n, ps.dim
-        per_pair = (n - 1) * (k + n - 2) + n * k  # tableau and centred points
-        _memo = _SetMemo(arr.shape, data, ps, max(1, _LP_BATCH_ENTRIES // per_pair))
-    return _memo
+@functools.lru_cache(maxsize=1)
+def _solved_for(shape: tuple[int, ...], data: bytes) -> tuple[PointSet, int, dict]:
+    """The point set with this shape and float64 bytes, validated, the pairs
+    per batch of its LPs and the batches solved for it so far (batch number
+    -> (outcome, witness)). An invalid set raises, and is not kept."""
+    ps = PointSet(np.frombuffer(data).reshape(shape))
+    n, k = ps.n, ps.dim
+    per_pair = (n - 1) * (k + n - 2) + n * k  # tableau and centred points
+    return ps, max(1, _LP_BATCH_ENTRIES // per_pair), {}
 
 
 def adjacent_witness(points, i: int, j: int) -> WitnessResult:
@@ -338,8 +325,9 @@ def adjacent_witness(points, i: int, j: int) -> WitnessResult:
     consecutive pairs (i < j in lexicographic order), kept while the next
     call passes a set with the same contents.
     """
-    memo = _memo_for(points)
-    n = memo.ps.n
+    arr = points.coords if isinstance(points, PointSet) else np.asarray(points, dtype=np.float64)
+    ps, size, solved = _solved_for(arr.shape, arr.tobytes())
+    n = ps.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError("point index out of range")
     if i == j:
@@ -347,13 +335,13 @@ def adjacent_witness(points, i: int, j: int) -> WitnessResult:
     if n > WITNESS_MAX_N:
         raise GeometryError(f"witness oracle is guarded to n <= {WITNESS_MAX_N}")
     lo, hi = (i, j) if i < j else (j, i)
-    batch, pos = divmod(lo * (2 * n - lo - 1) // 2 + hi - lo - 1, memo.batch)
-    if batch not in memo.solved:
-        q = np.arange(batch * memo.batch, min((batch + 1) * memo.batch, n * (n - 1) // 2))
+    batch, pos = divmod(lo * (2 * n - lo - 1) // 2 + hi - lo - 1, size)
+    if batch not in solved:
+        q = np.arange(batch * size, min((batch + 1) * size, n * (n - 1) // 2))
         starts = np.arange(n) * (2 * n - np.arange(n) - 1) // 2  # first pair of each row
         I = np.searchsorted(starts, q, side="right") - 1
-        memo.solved[batch] = _pair_witnesses(memo.ps.coords, I, q - starts[I] + I + 1)
-    outcome, witness = memo.solved[batch]
+        solved[batch] = _pair_witnesses(ps.coords, I, q - starts[I] + I + 1)
+    outcome, witness = solved[batch]
     if outcome[pos] == UNBOUNDED:
         raise RuntimeError("phase-1 objective unbounded; should not happen")
     if outcome[pos] == NO_CONVERGENCE:

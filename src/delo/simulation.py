@@ -15,14 +15,9 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .geometry import MAX_DIM, GeneralPositionError, PointSet
+from .geometry import MAX_DIM, GeneralPositionError, PointSet, _stream
 from .outlyingness import relative_outlyingness, score
 from .triangulation import _qhull, delaunay
-
-
-def _stream(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
-    return np.random.Generator(np.random.Philox(seq))
 
 
 def resolve_processes(requested: int | None = None) -> int:

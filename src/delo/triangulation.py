@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .geometry import (
     _plane_orient_signs,
     _plane_signs,
     _planes,
+    _stream,
     affinely_independent_subset,
     is_affinely_independent,
 )
@@ -117,13 +118,18 @@ class DelaunayGraph:
 
 
 class _Facet:
-    __slots__ = ("verts", "ref", "neighbors", "conflicts")
+    """A hull facet of the lifted points: k+1 point indices, ordered so that
+    the hull lies on the positive side of their lifted hyperplane, and
+    nbr[j], the facet across the ridge without verts[j] (_Ridges' face rule).
+    conflicts holds the points not yet inserted that see it."""
 
-    def __init__(self, verts: tuple[int, ...], ref: int):
+    __slots__ = ("verts", "nbr", "conflicts", "alive")
+
+    def __init__(self, verts: tuple[int, ...]):
         self.verts = verts
-        self.ref = ref  # the side of the facet that the hull lies on
-        self.neighbors: dict[tuple[int, ...], _Facet] = {}
+        self.nbr: list[_Facet] = [None] * len(verts)
         self.conflicts: set[int] = set()
+        self.alive = True
 
 
 class _HullBuilder:
@@ -133,7 +139,8 @@ class _HullBuilder:
     the lifted orientation of the facet's k+1 points (in verts order) and q,
     det([L_v - L_v0; ...; L_q - L_v0]): one dot product with the facet's
     hyperplane, computed once per facet (geometry._planes). q sees the facet
-    iff its side is -ref.
+    iff its side is negative. Each point keeps the facets it saw when they
+    were made; those removed since are marked dead and skipped.
 
     Every lifted point lies strictly outside the hull of the others, so
     insertion never fails: the result is the placing triangulation of the
@@ -145,37 +152,33 @@ class _HullBuilder:
         self.k = ps.dim
         self.n = ps.n
         # facets hash by identity, so every container whose order can decide
-        # a refusal is an insertion-ordered dict, never a set
+        # a refusal is an insertion-ordered dict or a list, never a set
         self.facets: dict[_Facet, None] = {}
-        self.point_conflicts: dict[int, dict[_Facet, None]] = {}
+        self.point_conflicts: dict[int, list[_Facet]] = {}
         self.created = 0
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(insertion_seed)))
-        self.order = [int(i) for i in rng.permutation(self.n)]
+        self.order = _stream(insertion_seed).permutation(self.n).tolist()
 
     def _sides(self, verts: np.ndarray, which: np.ndarray, queries: list[int]) -> np.ndarray:
         """The side of the facet verts[which[i]] that point queries[i] lies on."""
         pts = self.coords[verts]
         return _plane_signs(pts, _planes(pts), which, self.coords[queries])
 
-    def _assign(self, facets: list[_Facet], candidates: list[list[int]]):
-        """Add each facet's candidate points that see it to its conflicts. A
-        point on a facet's hyperplane does not see it: on a vertical wall, or
-        on a lifted sphere through the facet's points, cospherical with them."""
+    def _assign(self, facets: list[_Facet], candidates: list):
+        """Add new facets to the hull, and each one's candidate points that
+        see it to its conflicts. A point on a facet's hyperplane does not see
+        it: on a vertical wall, or on a lifted sphere through the facet's
+        points, cospherical with them."""
+        self.created += len(facets)
+        self.facets.update(dict.fromkeys(facets))
         counts = [len(block) for block in candidates]
         if not sum(counts):
             return
         flat = [q for block in candidates for q in block]
         owner = np.repeat(np.arange(len(facets)), counts)
-        signs = self._sides(np.array([f.verts for f in facets]), owner, flat)
-        for i, q, s in zip(owner.tolist(), flat, signs.tolist()):
-            f = facets[i]
-            if s == -f.ref:
-                f.conflicts.add(q)
-                self.point_conflicts[q][f] = None
-
-    def _new_facet(self, verts: tuple[int, ...], ref: int) -> _Facet:
-        self.created += 1
-        return _Facet(verts, ref)
+        sees = self._sides(np.array([f.verts for f in facets]), owner, flat) < 0
+        for i, q in compress(zip(owner.tolist(), flat), sees.tolist()):
+            facets[i].conflicts.add(q)
+            self.point_conflicts[q].append(facets[i])
 
     def _init_simplex(self) -> list[int]:
         """k+1 affinely independent points in insertion order, then the first
@@ -197,83 +200,74 @@ class _HullBuilder:
         return base + [rest[off[0]]]
 
     def build(self) -> list[tuple[int, ...]]:
+        """The lower facets' vertices, each tuple sorted: the cells."""
         simplex = self._init_simplex()
 
-        # initial facets: all (k+1)-subsets of the initial simplex; the hull
-        # lies on the side of the vertex each one omits
-        init = [tuple(sorted(v for v in simplex if v != w)) for w in simplex]
-        refs = self._sides(np.array(init), np.arange(len(init)), simplex)
-        init_facets = [self._new_facet(verts, r) for verts, r in zip(init, refs.tolist())]
-        for fa, fb in combinations(init_facets, 2):
-            ridge = tuple(sorted(set(fa.verts) & set(fb.verts)))
-            fa.neighbors[ridge] = fb
-            fb.neighbors[ridge] = fa
-        self.facets.update(dict.fromkeys(init_facets))
+        # initial facets: the simplex without each of its points w, which lies
+        # on the hull's side; swapping two vertices turns a negative side
+        # positive. The facet across the ridge without v omits v.
+        init = [[v for v in simplex if v != w] for w in simplex]
+        sides = self._sides(np.array(init), np.arange(len(init)), simplex)
+        for verts, side in zip(init, sides.tolist()):
+            if side < 0:
+                verts[0], verts[1] = verts[1], verts[0]
+        omitting = {w: _Facet(tuple(verts)) for w, verts in zip(simplex, init)}
+        for f in omitting.values():
+            f.nbr = [omitting[v] for v in f.verts]
 
-        in_simplex = set(simplex)
-        pending = [i for i in self.order if i not in in_simplex]
-        self.point_conflicts = {q: {} for q in pending}
-        self._assign(init_facets, [pending] * len(init_facets))
+        chosen = set(simplex)
+        pending = [i for i in self.order if i not in chosen]
+        self.point_conflicts = {q: [] for q in pending}
+        self._assign(list(omitting.values()), [pending] * len(omitting))
 
         for p in pending:
             self._insert(p)
 
-        return self._lower_simplices()
+        # the hull lies above a lower facet, and a point far above a facet
+        # lies on the side of its projected orientation
+        facets = list(self.facets)
+        signs = _orient_signs(self.coords[np.array([f.verts for f in facets])])
+        return [tuple(sorted(f.verts)) for f, s in zip(facets, signs.tolist()) if s > 0]
 
     def _insert(self, p: int):
         # lifted p lies strictly outside the hull of the others (the paraboloid
         # is strictly convex), so it sees a facet, and the facets it sees form
         # a ball whose boundary ridges pair up below
-        visible = self.point_conflicts.pop(p)
-        horizon = []
+        visible = [f for f in self.point_conflicts.pop(p) if f.alive]
         for f in visible:
-            for ridge, g in f.neighbors.items():
-                if g not in visible:
-                    horizon.append((ridge, f, g))
+            f.alive = False
+            del self.facets[f]
 
         new_facets: list[_Facet] = []
-        candidates: list[list[int]] = []
-        half_ridges: dict[tuple[int, ...], _Facet] = {}
-        for ridge, f_vis, g_inv in horizon:
-            verts = tuple(sorted(ridge + (p,)))
-            # nf's verts plus the apex of f_vis are f_vis's verts plus p,
-            # reordered, and the apex lies on the hull's side of nf while p
-            # lies on the far side of f_vis: the two lifted orientations
-            # differ by the parity of the reordering (verts are sorted)
-            (apex,) = set(f_vis.verts) - set(ridge)
-            swaps = sum(v > apex for v in verts) + sum(v > p for v in f_vis.verts)
-            nf = self._new_facet(verts, -f_vis.ref * (-1) ** swaps)
-            nf.neighbors[ridge] = g_inv
-            g_inv.neighbors[ridge] = nf
-            cands = (f_vis.conflicts | g_inv.conflicts)
-            cands.discard(p)
-            new_facets.append(nf)
-            candidates.append(sorted(cands))
-            for omit in ridge:
-                key = tuple(sorted(set(verts) - {omit}))
-                other = half_ridges.pop(key, None)
-                if other is None:
-                    half_ridges[key] = nf
-                else:
-                    nf.neighbors[key] = other
-                    other.neighbors[key] = nf
+        candidates: list[set[int]] = []
+        half_ridges: dict[tuple[int, ...], tuple[_Facet, int]] = {}
+        for f in visible:
+            for j, g in enumerate(f.nbr):
+                if not g.alive:
+                    continue
+                # p replaces verts[j]: exchanging the two flips the lifted
+                # orientation, and p lies on f's negative side, so verts[j]
+                # lies on nf's positive side, the hull's
+                nf = _Facet(f.verts[:j] + (p,) + f.verts[j + 1:])
+                nf.nbr[j] = g
+                g.nbr[g.nbr.index(f)] = nf
+                new_facets.append(nf)
+                cands = f.conflicts | g.conflicts
+                cands.discard(p)
+                candidates.append(cands)
+                # the ridges of nf through p pair up among the new facets
+                for i in range(len(nf.verts)):
+                    if i == j:
+                        continue
+                    key = tuple(sorted(nf.verts[:i] + nf.verts[i + 1:]))
+                    other = half_ridges.pop(key, None)
+                    if other is None:
+                        half_ridges[key] = (nf, i)
+                    else:
+                        nf.nbr[i] = other[0]
+                        other[0].nbr[other[1]] = nf
 
         self._assign(new_facets, candidates)
-
-        for f in visible:
-            for q in f.conflicts:
-                if q in self.point_conflicts:
-                    self.point_conflicts[q].pop(f, None)
-            self.facets.pop(f, None)
-        self.facets.update(dict.fromkeys(new_facets))
-
-    def _lower_simplices(self) -> list[tuple[int, ...]]:
-        """Facets whose outward normal points downward project to weakly
-        Delaunay cells. The hull lies above them, and a point far above a
-        facet lies on the side of its projected orientation."""
-        facets = list(self.facets)
-        signs = _orient_signs(self.coords[np.array([f.verts for f in facets])])
-        return [f.verts for f, s in zip(facets, signs.tolist()) if s == f.ref]
 
 
 @functools.cache
@@ -558,11 +552,12 @@ def delaunay(points, *, insertion_seed: int = 0) -> DelaunayGraph:
     graph (all Voronoi cells meet). insertion_seed orders the exact
     builder's insertions, which run only where Qhull's cells are not
     certified; it never changes the cells returned, nor whether a set is
-    refused. Degenerate inputs raise GeneralPositionError: k+2 points on a
-    sphere with no point strictly inside, so the triangulation is not
-    unique; geometry.jitter_points (seeded, 1e-9 x bbox diameter) resolves
-    them at the cost of exactness of the coordinates. Coordinates whose
-    squared distances overflow a float raise OverflowError.
+    refused or the kind of the refusal, but it can change the subset named.
+    Degenerate inputs raise GeneralPositionError: k+2 points on a sphere
+    with no point strictly inside, so the triangulation is not unique;
+    geometry.jitter_points (seeded, 1e-9 x bbox diameter) resolves them at
+    the cost of exactness of the coordinates. Coordinates whose squared
+    distances overflow a float raise OverflowError.
     """
     ps = points if isinstance(points, PointSet) else PointSet(np.asarray(points, dtype=np.float64))
     if ps.n < 2:

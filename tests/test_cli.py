@@ -218,7 +218,8 @@ def test_score_overflowing_coordinates_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["empty-delimiter", "long-delimiter", "negative-jitter-seed",
-                                  "non-utf8-byte", "over-long-field", "simulate-two-outliers",
+                                  "jitter-seed-without-jitter", "non-utf8-byte",
+                                  "over-long-field", "simulate-two-outliers",
                                   "negative-columns", "repeated-columns"])
 def test_bad_input_gives_one_json_line_exit_1(tmp_path, capsys, triangle, case):
     data = tmp_path / "data.csv"
@@ -226,6 +227,7 @@ def test_bad_input_gives_one_json_line_exit_1(tmp_path, capsys, triangle, case):
         "empty-delimiter": ["score", triangle, "--delimiter", ""],
         "long-delimiter": ["score", triangle, "--delimiter", ";;"],
         "negative-jitter-seed": ["score", triangle, "--jitter", "--jitter-seed", "-1"],
+        "jitter-seed-without-jitter": ["score", triangle, "--jitter-seed", "5"],
         "non-utf8-byte": ["score", str(data)],
         "over-long-field": ["score", str(data)],
         "simulate-two-outliers": ["simulate", "--dim", "2", "--n", "10", "--replicates", "1",

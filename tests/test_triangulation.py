@@ -25,6 +25,8 @@ from delo.geometry import (
     Sign,
     _lifted_planes,
     _plane_insphere_signs,
+    _plane_signs,
+    _planes,
     in_sphere,
     is_affinely_independent,
     orient,
@@ -301,6 +303,32 @@ def test_interior_point_fan():
 
 def _builder_simplices(ps):
     return tuple(sorted(_HullBuilder(ps, 0).build()))
+
+
+@pytest.mark.parametrize("k, created", [
+    (1, (97, 97)), (2, (303, 309)), (3, (521, 551)),
+    (4, (1000, 906)), (5, (335, 393)), (6, (152, 147))])
+def test_builder_hull_is_convex_with_neighbours_by_position(k, created):
+    # every point lies on the non-negative side of every live facet, whose
+    # nbr[j] is the live facet across the ridge without verts[j], pointing
+    # back; the facet counts pin the hulls built on the way, which the
+    # insertion order alone decides
+    ps = random_pointset(100 * k, {1: 50, 2: 60, 3: 40, 4: 30, 5: 16, 6: 12}[k], k)
+    for insertion_seed, want in zip((0, 1), created):
+        builder = _HullBuilder(ps, insertion_seed)
+        builder.build()
+        assert builder.created == want
+        facets = list(builder.facets)
+        pts = ps.coords[np.array([f.verts for f in facets])]
+        which = np.repeat(np.arange(len(facets)), ps.n)
+        signs = _plane_signs(pts, _planes(pts), which, np.tile(ps.coords, (len(facets), 1)))
+        assert (signs >= 0).all()
+        for f in facets:
+            assert f.alive
+            for j, g in enumerate(f.nbr):
+                (apex,) = set(g.verts) - set(f.verts)
+                assert g.alive and set(f.verts) - {f.verts[j]} < set(g.verts)
+                assert g.nbr[g.verts.index(apex)] is f
 
 
 def _tick_grid(rng, shape):
