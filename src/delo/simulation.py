@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 
 import numpy as np
@@ -20,23 +19,13 @@ from .outlyingness import relative_outlyingness, score
 from .triangulation import _qhull, delaunay
 
 
-def resolve_processes(requested: int | None = None) -> int:
-    """Worker count: requested (or cpu count), capped by DELO_THREADS."""
-    cpus = os.cpu_count() or 1
-    procs = cpus if requested is None else max(1, requested)
-    cap = os.environ.get("DELO_THREADS")
-    if cap:
-        try:
-            procs = min(procs, max(1, int(cap)))
-        except ValueError:
-            raise ValueError(f"DELO_THREADS must be an integer, got {cap!r}") from None
-    return min(procs, cpus)
-
-
 def _map_replicates(fn, args: list, processes: int | None) -> list:
-    """[fn(a) for a in args], in a pool of resolve_processes(processes)
-    workers when that and len(args) both exceed one."""
-    procs = resolve_processes(processes)
+    """[fn(a) for a in args], in a pool of `processes` workers (default and
+    cap: the CPU count) when that and len(args) both exceed one."""
+    if processes is not None and processes < 1:
+        raise ValueError(f"need at least one worker process, got {processes}")
+    cpus = os.cpu_count() or 1
+    procs = cpus if processes is None else min(processes, cpus)
     if procs > 1 and len(args) > 1:
         _qhull()  # import scipy once here, not in every forked worker
         with Pool(procs) as pool:
@@ -71,6 +60,8 @@ class SimulationConfig:
             raise ValueError("need 0 <= r_lo < r_hi, both finite")
         if not all(map(math.isfinite, self.thresholds)):
             raise ValueError(f"thresholds must be finite, got {self.thresholds}")
+        if len(set(self.thresholds)) < len(self.thresholds):
+            raise ValueError(f"thresholds must be distinct, got {self.thresholds}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if self.n_inliers < self.dim + 1:
@@ -95,23 +86,19 @@ def sample_shell(cfg: SimulationConfig, replicate_index: int) -> PointSet:
 
 
 def _ball_array(dim: int, n: int, radius: float, center, rng):
-    """Uniform ball draws by cube rejection; returns (points, proposals, accepted)."""
+    """n uniform draws from the ball, by rejection from its bounding cube."""
     center = np.asarray(center, dtype=np.float64)
     out = np.empty((n, dim))
     have = 0
-    proposals = 0
-    accepted = 0
     while have < n:
         need = n - have
         block = max(need * 2, 32)
         cand = rng.uniform(-radius, radius, size=(block, dim))
-        proposals += block
         keep = cand[np.einsum("ij,ij->i", cand, cand) <= radius * radius]
-        accepted += len(keep)
         take = min(len(keep), need)
         out[have:have + take] = keep[:take]
         have += take
-    return out + center, proposals, accepted
+    return out + center
 
 
 # ---------------------------------------------------------------------------
@@ -129,21 +116,13 @@ class ExperimentReport:
     median_ratio: float
     max_ratio: float
     failed_replicates: int
-    runtime_seconds: float = field(compare=False)
     replicate_ratios: tuple[tuple[float, ...], ...] | None = None
 
     def to_dict(self) -> dict:
-        cfg = self.config
         return {
             "schema_version": "delo.experiment.v1",
             "kind": "relative_outlyingness",
-            "config": {
-                "dim": cfg.dim, "n_inliers": cfg.n_inliers,
-                "replicates": cfg.replicates, "seed": cfg.seed,
-                "r_lo": cfg.r_lo, "r_hi": cfg.r_hi,
-                "outliers": [list(o) for o in cfg.outliers],
-                "thresholds": list(cfg.thresholds),
-            },
+            "config": asdict(self.config),
             "total_ratios": self.total_ratios,
             "threshold_counts": {repr(t): c for t, c in self.threshold_counts.items()},
             "threshold_fractions": {repr(t): f for t, f in self.threshold_fractions.items()},
@@ -173,7 +152,6 @@ def run_relative_outlyingness_experiment(cfg: SimulationConfig, *,
     with a 50-bin histogram over [0, max ratio]."""
     if len(cfg.outliers) != 1:
         raise ValueError("the ratio reference requires exactly one outlier")
-    t0 = time.perf_counter()
     results = _map_replicates(_shell_replicate, [(cfg, r) for r in range(cfg.replicates)],
                               processes)
 
@@ -196,7 +174,6 @@ def run_relative_outlyingness_experiment(cfg: SimulationConfig, *,
         median_ratio=float(np.median(ratios)) if total else math.nan,
         max_ratio=max_ratio,
         failed_replicates=failed,
-        runtime_seconds=time.perf_counter() - t0,
         replicate_ratios=tuple(tuple(map(float, r)) for r in kept) if keep_ratios else None,
     )
 
@@ -207,13 +184,7 @@ def run_relative_outlyingness_experiment(cfg: SimulationConfig, *,
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    dim: int
-    radius: float
-    center: tuple[float, ...]
-    outliers: tuple[tuple[float, ...], ...]
-    n_schedule: tuple[int, ...]
-    replicates: int
-    seed: int
+    config: dict  # the validated inputs, as to_dict writes them
     delta: float
     min_outlier_scores: tuple[tuple[float, ...], ...]  # per n, per replicate
     max_inlier_scores: tuple[tuple[float, ...], ...]
@@ -224,19 +195,12 @@ class ConsistencyReport:
     gamma_medians: tuple[float, ...]
     lambda_strictly_decreasing: bool
     gamma_strictly_decreasing: bool
-    runtime_seconds: float = field(compare=False)
 
     def to_dict(self) -> dict:
         return {
             "schema_version": "delo.experiment.v1",
             "kind": "consistency",
-            "config": {
-                "dim": self.dim, "radius": self.radius,
-                "center": list(self.center),
-                "outliers": [list(o) for o in self.outliers],
-                "n_schedule": list(self.n_schedule),
-                "replicates": self.replicates, "seed": self.seed,
-            },
+            "config": self.config,
             "delta": self.delta,
             "violations": self.violations,
             "min_outlier_scores": [list(v) for v in self.min_outlier_scores],
@@ -253,7 +217,7 @@ class ConsistencyReport:
 def _consistency_replicate(args):
     dim, radius, center, outliers, n, seed, n_idx, rep = args
     rng = _stream(seed, (n_idx, rep))
-    inliers, _, _ = _ball_array(dim, n, radius, center, rng)
+    inliers = _ball_array(dim, n, radius, center, rng)
     ps = PointSet(np.vstack([inliers, np.array(outliers)]))
     graph = delaunay(ps)
     table = score(graph)
@@ -281,6 +245,8 @@ def run_consistency_experiment(*, dim: int, radius: float, center, outliers,
     schedule = tuple(int(n) for n in n_schedule)
     if not schedule or min(schedule) < dim + 1:  # fewer inliers cannot span R^dim
         raise ValueError(f"need at least one sample size, each at least dim + 1 = {dim + 1}")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError(f"the sample sizes must strictly increase, got {list(schedule)}")
     center = tuple(float(c) for c in np.asarray(center, dtype=np.float64).reshape(-1))
     if len(center) != dim:
         raise ValueError("center dimension mismatch")
@@ -305,7 +271,6 @@ def run_consistency_experiment(*, dim: int, radius: float, center, outliers,
                    for idx, a in enumerate(outs) for b in outs[idx + 1:])
         delta = min(delta, pair)
 
-    t0 = time.perf_counter()
     args = [(dim, radius, center, outliers, n, seed, n_idx, rep)
             for n_idx, n in enumerate(schedule) for rep in range(replicates)]
     rows = _map_replicates(_consistency_replicate, args, processes)
@@ -320,12 +285,13 @@ def run_consistency_experiment(*, dim: int, radius: float, center, outliers,
     gam_med = tuple(float(np.median(block)) for block in max_in)
     dec = lambda xs: all(b < a for a, b in zip(xs, xs[1:]))
     return ConsistencyReport(
-        dim=dim, radius=float(radius), center=center, outliers=outliers,
-        n_schedule=schedule, replicates=replicates, seed=seed, delta=delta,
+        config={"dim": dim, "radius": float(radius), "center": list(center),
+                "outliers": [list(o) for o in outliers], "n_schedule": list(schedule),
+                "replicates": replicates, "seed": seed},
+        delta=delta,
         min_outlier_scores=min_out, max_inlier_scores=max_in,
         lambda_inlier=lam_in, lambda_all=lam_all, violations=violations,
         lambda_medians=lam_med, gamma_medians=gam_med,
         lambda_strictly_decreasing=dec(lam_med),
         gamma_strictly_decreasing=dec(gam_med),
-        runtime_seconds=time.perf_counter() - t0,
     )

@@ -559,6 +559,9 @@ def delaunay(points, *, insertion_seed: int = 0) -> DelaunayGraph:
     the cost of exactness of the coordinates. Coordinates whose squared
     distances overflow a float raise OverflowError.
     """
+    # checked before either engine runs, so the seed never decides a refusal
+    if not isinstance(insertion_seed, (int, np.integer)) or insertion_seed < 0:
+        raise ValueError(f"insertion_seed must be a non-negative int, got {insertion_seed!r}")
     ps = points if isinstance(points, PointSet) else PointSet(np.asarray(points, dtype=np.float64))
     if ps.n < 2:
         raise GeometryError("triangulation needs at least 2 points")

@@ -403,6 +403,11 @@ def test_simulate_invalid_flags_exit_1(capsys):
                        "--replicates", "1", "--processes", "1")
     assert code == 1
     assert json.loads(err)["kind"] == "input"
+    for argv in (["--thresholds", "0.9,0.9"], ["--processes", "0"]):
+        code, out, err = run(capsys, "simulate", "--dim", "2", "--n", "30",
+                             "--replicates", "1", "--processes", "1", *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["kind"] == "input"
 
 
 @pytest.mark.parametrize("argv", [
@@ -416,14 +421,6 @@ def test_simulate_non_finite_flags_exit_1(capsys, argv):
                          "--processes", "1", *argv)
     assert code == 1 and out == ""
     assert json.loads(err)["kind"] == "input"
-
-
-def test_simulate_bad_delo_threads_exits_1(capsys, monkeypatch):
-    monkeypatch.setenv("DELO_THREADS", "abc")
-    code, out, err = run(capsys, "simulate", "--dim", "2", "--n", "30",
-                         "--replicates", "1")
-    assert code == 1 and out == ""
-    assert "DELO_THREADS" in json.loads(err)["message"]
 
 
 def test_consistency_cli(capsys):
@@ -455,8 +452,11 @@ def test_consistency_default_outlier_has_dim_coordinates(capsys):
     ["--replicates", "0"],
     ["--radius", "-1"],
     ["--schedule", "30,x"],
+    ["--schedule", "100,50"],
+    ["--schedule", "50,50"],
+    ["--processes", "0"],
 ], ids=["duplicate-outliers", "outlier-dimension", "no-replicates", "negative-radius",
-        "bad-schedule"])
+        "bad-schedule", "decreasing-schedule", "repeated-schedule", "no-processes"])
 def test_consistency_bad_input_exit_1(capsys, argv):
     code, out, err = run(capsys, "consistency", "--schedule", "30", "--replicates", "2",
                          "--processes", "1", *argv)

@@ -8,8 +8,8 @@ from delo.geometry import GeometryError
 from delo.simulation import (
     SimulationConfig,
     _ball_array,
+    _map_replicates,
     _stream,
-    resolve_processes,
     run_consistency_experiment,
     run_relative_outlyingness_experiment,
     sample_shell,
@@ -37,6 +37,7 @@ def test_config_defaults_origin_outlier():
     dict(outliers=((0.0,),)),
     dict(dim=0),
     dict(dim=7),
+    dict(thresholds=(0.9, 0.9)),
 ])
 def test_config_validation(kw):
     with pytest.raises(ValueError):
@@ -79,19 +80,20 @@ def test_shell_appends_outliers_last():
 # --- ball sampler -----------------------------------------------------------------
 
 def test_ball_norms_bounded_and_reproducible():
-    pts, _, _ = _ball_array(3, 2000, 2.5, (1.0, -1.0, 0.0), _stream(3, ()))
+    pts = _ball_array(3, 2000, 2.5, (1.0, -1.0, 0.0), _stream(3, ()))
     norms = np.linalg.norm(pts - np.array([1.0, -1.0, 0.0]), axis=1)
     assert pts.shape == (2000, 3) and norms.max() <= 2.5
-    pts2, _, _ = _ball_array(3, 2000, 2.5, (1.0, -1.0, 0.0), _stream(3, ()))
+    pts2 = _ball_array(3, 2000, 2.5, (1.0, -1.0, 0.0), _stream(3, ()))
     assert np.array_equal(pts, pts2)
 
 
-def test_ball_acceptance_rate_matches_volume_ratio():
-    rng = _stream(99, ())
-    n = 40_000
-    _, proposals, accepted = _ball_array(2, n, 1.0, (0.0, 0.0), rng)
-    rate = accepted / proposals
-    assert abs(rate - math.pi / 4) < 0.01
+def test_ball_inner_half_volume_holds_half_the_draws():
+    # the ball of radius r * 2^(-1/d) has half the volume of the ball of radius r
+    for dim in (2, 3, 4):
+        center = np.linspace(-1.0, 1.0, dim)
+        pts = _ball_array(dim, 40_000, 1.5, center, _stream(99, ()))
+        inner = np.linalg.norm(pts - center, axis=1) <= 1.5 * 2.0 ** (-1 / dim)
+        assert abs(inner.mean() - 0.5) < 0.01, (dim, inner.mean())
 
 
 def test_ball_rejects_bad_radius():
@@ -130,6 +132,14 @@ def test_experiment_parallel_schedule_is_deterministic():
     ja = json.dumps(a.to_dict(), sort_keys=True)
     jb = json.dumps(b.to_dict(), sort_keys=True)
     assert ja == jb
+
+
+def test_map_replicates_worker_setting():
+    args = list(range(12))
+    with pytest.raises(ValueError, match="worker"):
+        _map_replicates(math.factorial, args, 0)
+    want = [math.factorial(a) for a in args]
+    assert all(_map_replicates(math.factorial, args, p) == want for p in (None, 1, 2))
 
 
 def test_experiment_keep_ratios():
@@ -182,9 +192,11 @@ def test_consistency_rejects_outlier_inside_ball():
     dict(outliers=[]),
     dict(center=(math.nan, 0)),
     dict(dim=7, center=(0,) * 7, outliers=[(3,) + (0,) * 6]),
+    dict(n_schedule=[100, 50]),
+    dict(n_schedule=[50, 50]),
 ], ids=["outlier-dimension", "no-replicates", "schedule-size-0", "schedule-size-2",
         "negative-radius", "infinite-radius", "duplicate-outliers", "no-outliers",
-        "nan-center", "dim-7"])
+        "nan-center", "dim-7", "schedule-decreasing", "schedule-repeated"])
 def test_consistency_validation(kw):
     base = dict(dim=2, radius=1.0, center=(0, 0), outliers=[(3, 0)],
                 n_schedule=[40], replicates=2, seed=5, processes=1)
@@ -203,10 +215,9 @@ def test_consistency_lambda_restricted_to_inliers():
         assert lam_all >= 2.0
 
 
-# --- process resolution --------------------------------------------------------------
-
-def test_resolve_processes_env_cap(monkeypatch):
-    monkeypatch.setenv("DELO_THREADS", "1")
-    assert resolve_processes(8) == 1
-    monkeypatch.delenv("DELO_THREADS")
-    assert resolve_processes(1) == 1
+def test_consistency_parallel_schedule_is_deterministic():
+    kw = dict(dim=2, radius=1.0, center=(0, 0), outliers=[(3, 0)],
+              n_schedule=[40, 80], replicates=4, seed=5)
+    a = run_consistency_experiment(**kw, processes=1)
+    b = run_consistency_experiment(**kw, processes=2)
+    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)

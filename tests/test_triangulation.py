@@ -874,6 +874,18 @@ def test_unique_triangulation_for_every_insertion_seed(monkeypatch):
             assert (exc.value.kind, exc.value.subset) == ("cospherical", (0, 1, 2, 3))
 
 
+def test_bad_insertion_seed_raises_whichever_engine_would_answer():
+    # refused before either engine runs: Qhull's cells are certified on the
+    # random set, the builder decides the near-tick grid
+    for pts, backend in ((random_pointset(0, 20, 2), "qhull"),
+                         (_near_tick_grid((3, 3, 3), 1e-13, 0), "incremental")):
+        assert delaunay(pts).stats.backend == backend
+        for seed in (-1, 1.5, "0"):
+            with pytest.raises(ValueError, match="insertion_seed") as exc:
+                delaunay(pts, insertion_seed=seed)
+            assert not isinstance(exc.value, GeometryError)
+
+
 def _subprocess_env():
     src = Path(delo.__file__).resolve().parent.parent
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
