@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 from itertools import combinations
 
 import numpy as np
@@ -24,12 +23,6 @@ EPS = 2.0 ** -53
 MAX_DIM = 6
 
 _FACT = [math.factorial(i) for i in range(10)]
-
-
-class Sign(IntEnum):
-    NEGATIVE = -1
-    ZERO = 0
-    POSITIVE = 1
 
 
 class GeometryError(ValueError):
@@ -41,10 +34,6 @@ class DuplicatePointError(GeometryError):
         super().__init__(f"points {i} and {j} have identical coordinates; "
                          "scores are undefined for duplicates (consider jitter)")
         self.indices = (i, j)
-
-
-class DegenerateSimplexError(GeometryError):
-    """Simplex points are affinely dependent where independence is required."""
 
 
 class GeneralPositionError(GeometryError):
@@ -285,39 +274,11 @@ def _plane_signs(pts: np.ndarray, h: np.ndarray, which: np.ndarray,
 # predicates
 # ---------------------------------------------------------------------------
 
-def _as_points(points) -> np.ndarray:
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim != 2:
-        raise GeometryError(f"expected a sequence of points, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise GeometryError("non-finite coordinate in predicate input")
-    return arr
-
-
-def _plane_orient_signs(faces: np.ndarray, h: np.ndarray, which: np.ndarray,
-                        queries: np.ndarray) -> np.ndarray:
-    """Exact orientation signs of (queries[i], *faces[which[i]]) for an
-    (m, k, k) batch of faces with hyperplanes h from _planes."""
-    # the query row comes last in the dot product: k swaps move it first
-    return _plane_signs(faces, h, which, queries) * (-1) ** faces.shape[2]
-
-
 def _orient_signs(simplices: np.ndarray) -> np.ndarray:
-    """Exact orientation signs of an (m, k+1, k) batch of simplices."""
-    faces = simplices[:, 1:]
-    return _plane_orient_signs(faces, _planes(faces), np.arange(len(faces)), simplices[:, 0])
-
-
-def orient(simplex) -> Sign:
-    """Exact sign of the orientation determinant of k+1 points in R^k.
-
-    ZERO iff the points are affinely dependent.
-    """
-    pts = _as_points(simplex)
-    k = pts.shape[1]
-    if pts.shape[0] != k + 1:
-        raise GeometryError(f"orientation in R^{k} needs {k + 1} points, got {pts.shape[0]}")
-    return Sign(int(_orient_signs(pts[None])[0]))
+    """Exact orientation signs of an (m, k+1, k) batch of simplices: the side
+    of the hyperplane of all points but the last that the last lies on."""
+    faces = simplices[:, :-1]
+    return _plane_signs(faces, _planes(faces), np.arange(len(faces)), simplices[:, -1])
 
 
 def _lifted_planes(simplices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,22 +286,20 @@ def _lifted_planes(simplices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with the exact orientation signs (_lifted_orients): returns (h, signs).
     """
     h = _planes(simplices)
-    return h, _lifted_orients(h, simplices.__getitem__)
+    return h, _lifted_orients(h, simplices)
 
 
-def _lifted_orients(h: np.ndarray, simplices) -> np.ndarray:
+def _lifted_orients(h: np.ndarray, simplices: np.ndarray) -> np.ndarray:
     """Exact orientation signs of simplices from their lifted hyperplanes h:
-    those of h_k, or where h_k is within the bound, the exact sign. Only
-    there are the points needed: simplices(unsure) gives them, (u, k+1, k)
-    for a boolean mask over the rows of h.
+    those of h_k, or where h_k is within the bound, the exact sign of the
+    simplex's last point against the hyperplane of the others.
     """
     k = h.shape[1] - 1
     signs = np.sign(h[:, k]).astype(np.int64)
     unsure = np.abs(h[:, k]) <= _cofactor_bound(k + 1, _entry_ulps(k, True))
     if unsure.any():
-        rest = simplices(unsure)
-        signs[unsure] = _exact_plane_signs(rest[:, 1:], np.arange(len(rest)),
-                                           rest[:, 0]) * (-1) ** k
+        rest = simplices[unsure]
+        signs[unsure] = _exact_plane_signs(rest[:, :-1], np.arange(len(rest)), rest[:, -1])
     return signs
 
 
@@ -354,36 +313,6 @@ def _plane_insphere_signs(simplices: np.ndarray, h: np.ndarray, orients: np.ndar
     return -_plane_signs(simplices, h, which, queries) * orients[which]
 
 
-def in_sphere_many(simplex, queries) -> np.ndarray:
-    """Position of each of m query points relative to the circumsphere of a simplex.
-
-    Returns an (m,) int64 array: 1 strictly inside, 0 on the sphere, -1
-    strictly outside, independent of the order in which the simplex points
-    are given. queries must be an (m, k) array of finite points. Points
-    whose squared distances overflow a float raise OverflowError.
-    """
-    pts = _as_points(simplex)
-    k = pts.shape[1]
-    if pts.shape[0] != k + 1:
-        raise GeometryError(f"in_sphere in R^{k} needs a {k + 1}-point simplex")
-    qs = _as_points(queries)
-    if qs.shape[1] != k:
-        raise GeometryError("query dimension does not match the simplex")
-    with np.errstate(over="ignore"):
-        if not np.isfinite(4.0 * k * max(np.abs(pts).max(), np.abs(qs).max(initial=0)) ** 2):
-            raise OverflowError("squared distances between the points overflow a float")
-    h, orients = _lifted_planes(pts[None])
-    if not orients[0]:
-        raise DegenerateSimplexError("in_sphere needs an affinely independent simplex")
-    return _plane_insphere_signs(pts[None], h, orients, np.zeros(len(qs), dtype=np.int64), qs)
-
-
-def in_sphere(simplex, query) -> Sign:
-    """Position of a query point relative to the circumsphere of a simplex,
-    as a Sign (see in_sphere_many)."""
-    return Sign(int(in_sphere_many(simplex, [query])[0]))
-
-
 # ---------------------------------------------------------------------------
 # general position
 # ---------------------------------------------------------------------------
@@ -394,7 +323,7 @@ def is_affinely_independent(pts) -> bool:
     The difference rows D are independent iff the Gram determinant
     det(D D^T) is nonzero, expanded by _cofactors over exact ints.
     """
-    arr = _as_points(pts)
+    arr = np.asarray(pts, dtype=np.float64)
     if len(arr) <= 1:
         return True
     ints = _scaled_ints(arr)

@@ -151,7 +151,8 @@ def bruteforce_simplices(points) -> list[tuple[int, ...]]:
     block = max(1, _BLOCK_ENTRIES // n)
     for a in range(n - k):
         for sub, h in _base_planes(lifted, a, k, block):
-            orients = _lifted_orients(h, lambda rows: coords[sub[rows]])
+            simplices = coords.take(sub, axis=0)  # much faster than coords[sub]
+            orients = _lifted_orients(h, simplices)
             # o D(q) for every q at once, by einsum: `@` would go to BLAS,
             # which may run threaded for more CPU time and no less wall time
             dets = np.einsum("bj,qj->bq", h * orients[:, None], lifted[a])
@@ -164,8 +165,7 @@ def bruteforce_simplices(points) -> list[tuple[int, ...]]:
             outside[ar, sub] = True
             if near.any():
                 r, q = np.nonzero(near)
-                used, which = np.unique(r, return_inverse=True)
-                signs = _exact_plane_signs(coords[sub[used]], which, coords[q]) * orients[r]
+                signs = _exact_plane_signs(simplices, r, coords[q]) * orients[r]
                 outside[r, q] = signs > 0
                 if not signs.all():  # refused only with no point strictly inside
                     on = np.zeros_like(outside)

@@ -33,6 +33,12 @@ def _map_replicates(fn, args: list, processes: int | None) -> list:
     return [fn(a) for a in args]
 
 
+def _check_seed(seed):
+    """Refuse a seed the replicate streams cannot take, before any runs."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Spherical-shell experiment: inliers R*Theta, R ~ U[r_lo, r_hi], plus
@@ -64,6 +70,7 @@ class SimulationConfig:
             raise ValueError(f"thresholds must be distinct, got {self.thresholds}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        _check_seed(self.seed)
         if self.n_inliers < self.dim + 1:
             raise ValueError("need n_inliers >= dim + 1")
         for o in self.outliers:
@@ -242,6 +249,7 @@ def run_consistency_experiment(*, dim: int, radius: float, center, outliers,
         raise ValueError(f"radius must be finite and positive, got {radius!r}")
     if replicates < 1:
         raise ValueError("need at least one replicate")
+    _check_seed(seed)
     schedule = tuple(int(n) for n in n_schedule)
     if not schedule or min(schedule) < dim + 1:  # fewer inliers cannot span R^dim
         raise ValueError(f"need at least one sample size, each at least dim + 1 = {dim + 1}")

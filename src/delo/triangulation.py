@@ -17,8 +17,8 @@ beneath-beyond algorithm with conflict lists builds their convex hull, and
 the downward-facing facets project back to the cells. Every visibility
 decision is the exact side of a lifted point relative to a facet's lifted
 hyperplane, one hyperplane per facet from the kernel the certificate, the
-flips and the predicates share (geometry._planes: cofactors, a float
-filter, and the same expansion on exact integers). A point on a facet's
+flips and the brute-force oracle share (geometry._planes: cofactors, a
+float filter, and the same expansion on exact integers). A point on a facet's
 hyperplane does not see it, so the builder always finishes, and its cells
 go through the same certificate.
 
@@ -48,7 +48,6 @@ from .geometry import (
     _lifted_planes,
     _orient_signs,
     _plane_insphere_signs,
-    _plane_orient_signs,
     _plane_signs,
     _planes,
     _stream,
@@ -344,23 +343,29 @@ def _check(coords: np.ndarray, cells) -> _Ridges | None:
         ridge that the other lacks lies on the other's inner side (that of
         its cell) or on its hyperplane, as points on the hull boundary that
         are not hull vertices make it;
-    (e) a point p lies strictly inside one cell, in no other closed cell,
-        and strictly on the inner side of every boundary ridge.
+    (e) the point p = v_0 + e (v_1 - v_0) + ... + e^k (v_k - v_0), for the
+        vertices v_0, ..., v_k of cells[0] and every small enough e > 0,
+        lies in no other cell and strictly on the inner side of every
+        boundary ridge. p is symbolic (Edelsbrunner & Muecke 1990,
+        "Simulation of simplicity"): it lies on the side of a hyperplane
+        that the first v_i off it does, so it is strictly inside cells[0]
+        and on no hyperplane of a ridge, and each of its signs is the exact
+        sign of a sample point.
 
     Then the cells triangulate the convex hull. Let c(x) count the cells
     holding x. By (b) it does not change across an interior ridge. A ray
-    from p crosses each boundary ridge at most once, from its inner side to
-    its outer, leaving that ridge's cell: along a ray avoiding the
-    (k-2)-faces, c only falls, from 1 at p (e) to 0 far away, so the ray
-    meets B exactly once. The cells thus cover the region K that B bounds,
-    star-shaped about p, exactly once, and nothing outside it. A generic
-    2-plane through p cuts B in a closed polygon that every ray from p in it
-    meets once and that never turns outward (d); where the sign in (d) is
-    zero the two edges run straight on, since a fold would put p strictly
-    on both sides of one hyperplane. Such a polygon is convex, so it lies on
-    the inner side of each edge line; hence K lies on the inner side of
-    every boundary ridge, is their intersection and is convex, and by (a)
-    it is the convex hull of the points. If moreover every sign is negative,
+    from p, for one such e, crosses each boundary ridge at most once, from
+    its inner side to its outer, leaving that ridge's cell: along a ray
+    avoiding the (k-2)-faces, c only falls, from 1 at p (e) to 0 far away,
+    so the ray meets B exactly once. The cells thus cover the region K that
+    B bounds, star-shaped about p, exactly once, and nothing outside it.
+    A generic 2-plane through p cuts B in a closed polygon that every ray
+    from p in it meets once and that never turns outward (d); where the
+    sign in (d) is zero the two edges run straight on, since a fold would
+    put p strictly on both sides of one hyperplane. Such a polygon is
+    convex, so it lies on the inner side of each edge line; hence K lies on
+    the inner side of every boundary ridge, is their intersection and is
+    convex, and by (a) it is the convex hull of the points. If moreover every sign is negative,
     every interior ridge is strictly locally Delaunay, which makes the
     lifted cells a strictly convex lower hull: the unique Delaunay
     triangulation. If no sign is positive, the lifted cells are a convex
@@ -383,10 +388,10 @@ def _check(coords: np.ndarray, cells) -> _Ridges | None:
         return None
 
     # ridge j of a cell omits its vertex j (the apex); the cell lies on the
-    # side of the ridge where orient(apex, ridge) = sigma * (-1)^j
+    # side of the ridge where orient(ridge, apex) = sigma * (-1)^(j+k)
     m = len(cells)
     ridges, apex = _faces(cells)
-    side = np.repeat(sigma, k + 1) * np.tile((-1) ** np.arange(k + 1), m)
+    side = np.repeat(sigma, k + 1) * np.tile((-1) ** (np.arange(k + 1) + k), m)
     order, same = _sorted_rows(ridges, n)
     if (same[1:] & same[:-1]).any():
         return None  # a ridge in three or more cells
@@ -399,7 +404,7 @@ def _check(coords: np.ndarray, cells) -> _Ridges | None:
     # closed boundary: every (k-2)-face of a boundary ridge is in exactly two
     # of them; weakly locally convex: each lies on the inner side of the
     # other or on its hyperplane. One hyperplane per boundary ridge serves
-    # these signs and the covered point's.
+    # these signs and (e)'s.
     walls = coords[ridges[bnd]]
     planes = _planes(walls)
     faces, dropped = _faces(ridges[bnd])
@@ -408,30 +413,42 @@ def _check(coords: np.ndarray, cells) -> _Ridges | None:
         return None
     x = np.concatenate([order[0::2], order[1::2]]) // k  # face i is of wall i // k
     y = np.concatenate([order[1::2], order[0::2]])
-    convex = _plane_orient_signs(walls, planes, x, coords[dropped[y]])
+    convex = _plane_signs(walls, planes, x, coords[dropped[y]])
     if ((convex != side[bnd[x]]) & (convex != 0)).any():
         return None
 
-    # one point covered exactly once: strictly inside the cell with the
-    # largest |h_k| (the fattest against its lifted rows), in no other
-    # closed cell, and strictly inside every boundary ridge
-    c0 = int(np.abs(h[:, k]).argmax())
-    p = pts[c0].mean(axis=0)
+    # (e): p lies on the side of a hyperplane that the first v_i off it does,
+    # so it is strictly inside cells[0] (v_j is the first off its face j),
+    # and only a cell whose closed bounding box holds v_0 can hold it
+    # (cells[0] is the first such, and left out). The walls and those cells'
+    # faces each try the v_i not of their own ridge, in order, one call per
+    # round for all still at zero; as cells[0] is not flat, one is off.
+    v = cells[0]
+    v0 = coords[v[0]]
     lo, hi = (functools.reduce(f, pts.swapaxes(0, 1)) for f in (np.minimum, np.maximum))
-    near = ((lo <= p) & (p <= hi)).all(axis=1)
-    near[c0] = True
-    cand = np.nonzero(near)[0]
-    swapped = np.repeat(pts[cand], k + 1, axis=0)
-    swapped[np.arange(len(swapped)), np.tile(np.arange(k + 1), len(cand))] = p
-    loc = _orient_signs(swapped)
-    inside = loc.reshape(len(cand), k + 1) * sigma[cand][:, None]
-    mine = cand == c0
-    if not (inside[mine] > 0).all() or (inside[~mine] >= 0).all(axis=1).any():
-        return None
-    seen = _plane_orient_signs(walls, planes, np.arange(len(bnd)),
-                               np.broadcast_to(p, (len(bnd), k)))
-    if (seen != side[bnd]).any():
-        return None
+    near = np.flatnonzero(((lo <= v0) & (v0 <= hi)).all(axis=1))[1:]
+    near_faces = (near[:, None] * (k + 1) + np.arange(k + 1)).ravel()
+    tested = np.concatenate([bnd, near_faces])
+    groups = np.concatenate([walls, coords[ridges[near_faces]]])
+    hyper = np.concatenate([planes, _planes(groups[len(bnd):])])
+    # tried[f, i]: v_i is a vertex of f's ridge, or f has tried it; the last
+    # column stands for the points that are not vertices of cells[0]
+    rank = np.full(n, k + 1)
+    rank[v] = np.arange(k + 1)
+    tried = np.zeros((len(tested), k + 2), dtype=bool)
+    np.put_along_axis(tried, rank[ridges[tested]], True, axis=1)
+    seen = np.zeros(len(tested), dtype=np.int64)
+    todo = np.arange(len(tested))
+    while len(todo):
+        i = tried[todo, :k + 1].argmin(axis=1)
+        tried[todo, i] = True
+        seen[todo] = _plane_signs(groups, hyper, todo, coords[v[i]])
+        todo = todo[seen[todo] == 0]
+    inner = seen == side[tested]
+    if not inner[:len(bnd)].all():
+        return None  # p outside a boundary ridge
+    if inner[len(bnd):].reshape(-1, k + 1).all(axis=1).any():
+        return None  # p inside another cell
 
     # b's apex against a's circumsphere: the sign of the lifted orientation
     # of the ridge and both apexes, so a's apex against b's is the same

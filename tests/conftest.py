@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from delo import PointSet
+from delo.geometry import _lifted_planes, _orient_signs, _plane_insphere_signs
 
 _acceptance_outcomes: dict[str, str] = {}
 
@@ -33,3 +34,19 @@ def random_pointset(seed: int, n: int, k: int, lo=-1.0, hi=1.0) -> PointSet:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def orient_sign(simplex) -> int:
+    """The exact orientation sign of k+1 points in R^k, from the kernel."""
+    return int(_orient_signs(np.asarray(simplex, dtype=np.float64)[None])[0])
+
+
+def insphere_signs(simplex, queries) -> np.ndarray:
+    """Each query's exact position against the circumsphere of a simplex
+    with a nonzero orientation, from the kernel: 1 strictly inside, 0 on,
+    -1 strictly outside."""
+    group = np.asarray(simplex, dtype=np.float64)[None]
+    queries = np.asarray(queries, dtype=np.float64).reshape(-1, group.shape[2])
+    h, orients = _lifted_planes(group)
+    return _plane_insphere_signs(group, h, orients, np.zeros(len(queries), dtype=np.int64),
+                                 queries)

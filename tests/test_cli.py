@@ -194,6 +194,28 @@ def test_score_degenerate_square_exits_2(capsys, square):
     assert obj["detail"]["subset"] == [0, 1, 2, 3]
 
 
+def test_score_repeated_row_exits_2(capsys, tmp_path):
+    p = tmp_path / "dup.csv"
+    p.write_text("0,0\n3,0\n0,0\n0,4\n")
+    code, out, err = run(capsys, "score", str(p))
+    assert code == 2 and out == ""
+    obj = json.loads(err)
+    assert obj["kind"] == "geometry"
+    assert obj["detail"] == {"kind": "duplicate", "rows": [0, 2]}
+
+
+def test_score_points_within_rounding_of_a_line(capsys, tmp_path):
+    # every Delaunay cell of 30 points on y = 0.3x + 0.1, rounded to floats,
+    # is a sliver; the certificate used to refuse them with a traceback
+    x = np.random.default_rng(0).uniform(0, 1, 30)
+    p = tmp_path / "line.csv"
+    p.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), (0.3 * x + 0.1).tolist())))
+    code, out, _ = run(capsys, "score", str(p))
+    assert code == 0
+    rows = [l for l in out.splitlines() if l and not l.startswith(("#", "row"))]
+    assert [int(l.split(",")[0]) for l in rows] == list(range(30))
+
+
 def test_score_square_with_jitter(capsys, square):
     code, out, _ = run(capsys, "score", square, "--jitter")
     assert code == 0
@@ -220,9 +242,22 @@ def test_score_overflowing_coordinates_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("case", ["empty-delimiter", "long-delimiter", "negative-jitter-seed",
                                   "jitter-seed-without-jitter", "non-utf8-byte",
                                   "over-long-field", "simulate-two-outliers",
-                                  "negative-columns", "repeated-columns"])
+                                  "negative-columns", "repeated-columns", "empty-columns",
+                                  "comments-only", "names-without-header", "unknown-column-name",
+                                  "seven-columns", "oracle-over-40-rows",
+                                  "simulate-negative-seed"])
 def test_bad_input_gives_one_json_line_exit_1(tmp_path, capsys, triangle, case):
     data = tmp_path / "data.csv"
+    contents = {
+        "non-utf8-byte": b"0,0\n3,0\n0,\xff4\n",
+        "over-long-field": b"0,0\n3,0\n0," + b"4" * 131_073 + b"\n",
+        "comments-only": b"# x,y\n# 0,0\n",
+        "unknown-column-name": b"x,y\n0,0\n3,0\n0,4\n",
+        "seven-columns": b"".join(b"%d,0,0,0,0,0,%d\n" % (i, i * i) for i in range(8)),
+        "oracle-over-40-rows": b"".join(b"%d,%d\n" % (i, i * i) for i in range(41)),
+    }
+    if case in contents:
+        data.write_bytes(contents[case])
     argv = {
         "empty-delimiter": ["score", triangle, "--delimiter", ""],
         "long-delimiter": ["score", triangle, "--delimiter", ";;"],
@@ -234,11 +269,15 @@ def test_bad_input_gives_one_json_line_exit_1(tmp_path, capsys, triangle, case):
                                   "--outlier", "0,0", "--outlier", "5,5"],
         "negative-columns": ["score", triangle, "--columns=-1,-2"],
         "repeated-columns": ["score", triangle, "--columns", "0,0"],
+        "empty-columns": ["score", triangle, "--columns", ","],
+        "comments-only": ["score", str(data)],
+        "names-without-header": ["score", triangle, "--columns", "x,y"],
+        "unknown-column-name": ["score", str(data), "--header", "--columns", "x,z"],
+        "seven-columns": ["score", str(data)],
+        "oracle-over-40-rows": ["triangulate", str(data), "--oracle"],
+        "simulate-negative-seed": ["simulate", "--dim", "2", "--n", "10", "--replicates", "2",
+                                   "--seed", "-1", "--processes", "1"],
     }[case]
-    if case == "non-utf8-byte":
-        data.write_bytes(b"0,0\n3,0\n0,\xff4\n")
-    elif case == "over-long-field":
-        data.write_text("0,0\n3,0\n0," + "4" * 131_073 + "\n")
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     lines = err.splitlines()
@@ -455,8 +494,10 @@ def test_consistency_default_outlier_has_dim_coordinates(capsys):
     ["--schedule", "100,50"],
     ["--schedule", "50,50"],
     ["--processes", "0"],
+    ["--seed", "-1"],
 ], ids=["duplicate-outliers", "outlier-dimension", "no-replicates", "negative-radius",
-        "bad-schedule", "decreasing-schedule", "repeated-schedule", "no-processes"])
+        "bad-schedule", "decreasing-schedule", "repeated-schedule", "no-processes",
+        "negative-seed"])
 def test_consistency_bad_input_exit_1(capsys, argv):
     code, out, err = run(capsys, "consistency", "--schedule", "30", "--replicates", "2",
                          "--processes", "1", *argv)

@@ -11,10 +11,7 @@ from delo import (
     DuplicatePointError,
     GeneralPositionError,
     GeometryError,
-    Sign,
     delaunay,
-    in_sphere_many,
-    orient,
 )
 from delo.geometry import _lifted_planes
 from delo.oracle import (
@@ -30,7 +27,7 @@ from delo.oracle import (
     delaunay_bruteforce,
 )
 
-from conftest import random_pointset
+from conftest import insphere_signs, orient_sign, random_pointset
 
 QUAD = [(0, 0), (1, 0), (0, 1), (0.9, 0.9)]
 
@@ -113,14 +110,13 @@ def _reference_simplices(pts):
     k+2 points on an empty sphere. A set with no full-dimensional subset
     does not span."""
     n, k = pts.shape
-    subsets = [s for s in combinations(range(n), k + 1)
-               if orient(pts[list(s)]) is not Sign.ZERO]
+    subsets = [s for s in combinations(range(n), k + 1) if orient_sign(pts[list(s)])]
     if not subsets:
         raise GeneralPositionError("affine_span", tuple(range(n)), "flat")
     accepted = []
     for s in subsets:
         others = [q for q in range(n) if q not in s]
-        signs = in_sphere_many(pts[list(s)], pts[others]) if others else np.zeros(0)
+        signs = insphere_signs(pts[list(s)], pts[others])
         if (signs > 0).any():
             continue
         if (signs == 0).any():
@@ -264,14 +260,12 @@ def _tri_area(tri):
 
 
 def _hull_area(pts):
-    from delo import Sign, orient
-
     ordered = sorted(map(tuple, pts))
 
     def chain(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and orient([out[-2], out[-1], p]) is not Sign.POSITIVE:
+            while len(out) >= 2 and orient_sign([out[-2], out[-1], p]) <= 0:
                 out.pop()
             out.append(p)
         return out

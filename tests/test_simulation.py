@@ -38,6 +38,8 @@ def test_config_defaults_origin_outlier():
     dict(dim=0),
     dict(dim=7),
     dict(thresholds=(0.9, 0.9)),
+    dict(seed=-1),
+    dict(seed=1.5),
 ])
 def test_config_validation(kw):
     with pytest.raises(ValueError):
@@ -194,9 +196,12 @@ def test_consistency_rejects_outlier_inside_ball():
     dict(dim=7, center=(0,) * 7, outliers=[(3,) + (0,) * 6]),
     dict(n_schedule=[100, 50]),
     dict(n_schedule=[50, 50]),
+    dict(seed=-1),
+    dict(seed=1.5),
 ], ids=["outlier-dimension", "no-replicates", "schedule-size-0", "schedule-size-2",
         "negative-radius", "infinite-radius", "duplicate-outliers", "no-outliers",
-        "nan-center", "dim-7", "schedule-decreasing", "schedule-repeated"])
+        "nan-center", "dim-7", "schedule-decreasing", "schedule-repeated",
+        "negative-seed", "float-seed"])
 def test_consistency_validation(kw):
     base = dict(dim=2, radius=1.0, center=(0, 0), outliers=[(3, 0)],
                 n_schedule=[40], replicates=2, seed=5, processes=1)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,21 +16,17 @@ from delo import (
     PointSet,
     delaunay,
     geometry,
-    in_sphere_many,
     jitter_points,
     triangulation,
 )
 from delo.oracle import bruteforce_simplices, delaunay_bruteforce
 from delo.simulation import SimulationConfig, sample_shell
 from delo.geometry import (
-    Sign,
     _lifted_planes,
     _plane_insphere_signs,
     _plane_signs,
     _planes,
-    in_sphere,
     is_affinely_independent,
-    orient,
 )
 from delo.triangulation import (
     BuildStats,
@@ -39,7 +36,7 @@ from delo.triangulation import (
     _sorted_rows,
 )
 
-from conftest import random_pointset
+from conftest import insphere_signs, orient_sign, random_pointset
 
 
 def _connected(g) -> bool:
@@ -250,14 +247,12 @@ def test_euler_counts_2d(rng):
 
 def _hull_vertex_count(coords: np.ndarray) -> int:
     """Convex hull vertex count via a monotone chain with exact turns."""
-    from delo import Sign, orient
-
     pts = sorted(map(tuple, coords))
 
     def chain(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and orient([out[-2], out[-1], p]) is not Sign.POSITIVE:
+            while len(out) >= 2 and orient_sign([out[-2], out[-1], p]) <= 0:
                 out.pop()
             out.append(p)
         return out
@@ -421,22 +416,22 @@ def _slit_cells(k):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_certificate_rejects_boundary_folded_over_a_slit(monkeypatch, k):
-    # every check up to (d) passes, (d) only on zero signs; the covered point
-    # cannot lie strictly above and strictly below the slit's plane, so the
-    # boundary sides of (e) refuse the cells before any in-sphere sign
+    # every check up to (d) passes, (d) only on zero signs; the symbolic
+    # point cannot lie strictly above and strictly below the slit's plane, so
+    # the boundary sides of (e) refuse the cells before any in-sphere sign
     pts, cells = _slit_cells(k)
     signs, insphere = [], []
 
-    def plane_orient(*args):
-        signs.append(plane_orient_signs(*args))
+    def recording(*args):
+        signs.append(plane_signs(*args))
         return signs[-1]
 
-    plane_orient_signs = triangulation._plane_orient_signs
-    monkeypatch.setattr(triangulation, "_plane_orient_signs", plane_orient)
+    plane_signs = triangulation._plane_signs
+    monkeypatch.setattr(triangulation, "_plane_signs", recording)
     monkeypatch.setattr(triangulation, "_plane_insphere_signs",
                         lambda *args: insphere.append(args))
     assert _check(pts, cells) is None
-    convex, _ = signs  # (d)'s signs, then (e)'s boundary sides
+    convex, *_ = signs  # (d)'s signs, then (e)'s rounds
     assert (convex == 0).any()
     assert not insphere
 
@@ -456,7 +451,7 @@ def _unflip(coords, cells, ridge):
     c1, c2 = [c for c in cells if set(ridge) <= set(c)]
     verts = tuple(sorted(set(c1) | set(c2)))
     circuit = [tuple(v for v in verts if v != w) for w in verts]
-    lam = [(-1) ** i * int(orient(coords[list(c)])) for i, c in enumerate(circuit)]
+    lam = [(-1) ** i * orient_sign(coords[list(c)]) for i, c in enumerate(circuit)]
     (u,) = set(c1) - set(ridge)
     side = lam[verts.index(u)]
     old = {c for c, s in zip(circuit, lam) if s == side}
@@ -704,10 +699,10 @@ def _assert_exactly_cospherical(pts, subset):
     k = pts.shape[1]
     sub = pts[list(subset)]
     assert len(sub) == k + 2
-    j = next(j for j in range(k + 2) if orient(np.delete(sub, j, axis=0)) is not Sign.ZERO)
+    j = next(j for j in range(k + 2) if orient_sign(np.delete(sub, j, axis=0)))
     simplex = np.delete(sub, j, axis=0)
-    assert in_sphere(simplex, sub[j]) is Sign.ZERO
-    assert (in_sphere_many(simplex, np.delete(pts, list(subset), axis=0)) <= 0).all()
+    assert insphere_signs(simplex, sub[j]).tolist() == [0]
+    assert (insphere_signs(simplex, np.delete(pts, list(subset), axis=0)) <= 0).all()
 
 
 def test_refused_subset_is_the_same_in_every_run(tmp_path):
@@ -731,14 +726,15 @@ def test_refused_subset_is_the_same_in_every_run(tmp_path):
 @pytest.mark.parametrize("jitter", [1e-9, 1e-11, 1e-13, 1e-15])
 def test_certificate_insphere_signs_equal_in_sphere_on_tick_grids(shape, jitter):
     # near-cospherical and (at 1e-15) exactly cospherical cells: the sign
-    # from a cell's lifted hyperplane equals in_sphere's at every interior
-    # ridge of Qhull's proposal, both ways, zeros included
+    # from the batch of lifted hyperplanes equals the one from the cell's
+    # alone at every interior ridge of Qhull's proposal, both ways, zeros
+    # included
     qhull_delaunay, _ = triangulation._qhull()
     for seed in range(3):
         pts = _near_tick_grid(shape, jitter, seed)
         cells = np.sort(qhull_delaunay(pts).simplices, axis=1)
         h, sigma = _lifted_planes(pts[cells])
-        assert sigma.tolist() == [int(orient(pts[c])) for c in cells]
+        assert sigma.tolist() == [orient_sign(pts[c]) for c in cells]
         at = {}
         for i, c in enumerate(cells.tolist()):
             for j in range(len(c)):
@@ -748,7 +744,7 @@ def test_certificate_insphere_signs_equal_in_sphere_on_tick_grids(shape, jitter)
         which = np.array([i for i, _ in pairs])
         signs = _plane_insphere_signs(pts[cells], h, sigma, which,
                                       pts[[w for _, w in pairs]])
-        assert signs.tolist() == [int(in_sphere(pts[cells[i]], pts[w])) for i, w in pairs]
+        assert signs.tolist() == [int(insphere_signs(pts[cells[i]], pts[w])[0]) for i, w in pairs]
 
 
 def test_certificate_and_brute_force_need_no_lu_determinant(monkeypatch):
@@ -767,8 +763,8 @@ def test_certificate_and_brute_force_need_no_lu_determinant(monkeypatch):
 
     quad = np.array([(0, 0), (4, 0), (5, 3), (0, 1)], dtype=float)
     _flips_restore(quad, [(0, 1, 2), (0, 2, 3)], ((0, 1, 3), (1, 2, 3)))
-    assert orient(quad[:3]) is Sign.POSITIVE
-    assert in_sphere_many(quad[:3], quad[3:]).tolist() == [1]
+    assert orient_sign(quad[:3]) == 1
+    assert insphere_signs(quad[:3], quad[3:]).tolist() == [1]
     assert is_affinely_independent(quad[:3])
     assert not is_affinely_independent([(0, 0), (1, 1), (2, 2)])
 
@@ -776,6 +772,58 @@ def test_certificate_and_brute_force_need_no_lu_determinant(monkeypatch):
     g = delaunay(ps)
     assert g.stats.backend == "incremental"
     assert g.cells.tolist() == certified
+
+
+def _both_paths(monkeypatch, pts) -> list[list[int]]:
+    """The cells of pts, after checking that where Qhull's cells were
+    certified, the builder's path (Qhull patched out) gives the same."""
+    g = delaunay(pts)
+    if g.stats.backend == "qhull":
+        with monkeypatch.context() as m:
+            m.setattr(triangulation, "_qhull_delaunay", lambda ps: None)
+            assert delaunay(pts).cells.tolist() == g.cells.tolist()
+    return g.cells.tolist()
+
+
+@pytest.mark.parametrize("k, n, sets", [(2, 20, 30), (3, 14, 30), (4, 12, 30), (5, 10, 10),
+                                        (6, 10, 10)])
+def test_slivers_within_rounding_of_a_hyperplane(monkeypatch, k, n, sets):
+    # the last coordinate an affine function of the others, rounded to
+    # floats: every cell is a sliver, and the float centroid of the fattest
+    # one, which the certificate used to cover, lay in no cell for most sets
+    for seed in range(sets):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, (n, k - 1))
+        pts = np.c_[x, x @ rng.uniform(-1, 1, k - 1) + rng.uniform(-1, 1)]
+        assert _both_paths(monkeypatch, pts) == sorted(map(list, bruteforce_simplices(pts)))
+
+
+def test_slivers_on_a_line_from_uniform_draws(monkeypatch):
+    for seed in range(40):
+        x = np.random.default_rng(seed).uniform(0, 1, 30)
+        pts = np.c_[x, 0.3 * x + 0.1]
+        assert _both_paths(monkeypatch, pts) == sorted(map(list, bruteforce_simplices(pts)))
+
+
+def test_slivers_on_a_line_from_linspace(monkeypatch):
+    # at n = 4, points 0-2 are exactly collinear in floats, and the builder's
+    # cells (0, 1, 3) and (1, 2, 3) are right; the float centroid of (0, 1, 3)
+    # lay outside it. At n = 2^j + 1 every point is on the line.
+    flat = []
+    for n in range(4, 100):
+        t = np.linspace(0, 1, n)
+        pts = np.c_[t, 2 * t + 1]
+        try:
+            cells = _both_paths(monkeypatch, pts)
+        except GeneralPositionError as err:
+            assert err.kind == "affine_span"
+            flat.append(n)
+            continue
+        if n <= 40:
+            assert cells == sorted(map(list, bruteforce_simplices(pts)))
+        if n == 4:
+            assert cells == [[0, 1, 3], [1, 2, 3]]
+    assert flat == [5, 9, 17, 33, 65]
 
 
 def _flat_hull_edge(n, seed):
@@ -854,6 +902,27 @@ def test_builder_fallback_when_qhull_raises(monkeypatch):
     monkeypatch.setattr(triangulation, "_qhull", lambda: (qhull_delaunay, Failed))
     g = delaunay(random_pointset(4, 20, 2))
     assert g.stats.backend == "incremental"
+
+
+def test_flip_with_a_zero_coefficient_hands_over_to_the_builder(monkeypatch):
+    # a pyramid with apex a over the planar convex quad b, d, c, v, where v is
+    # inside the circle through b, c and d. Proposed split by the diagonal
+    # bc, the ridge abc is not Delaunay, but a's coefficient in the circuit
+    # a, b, c, d, v is 0: no flip of that circuit keeps a, so the builder
+    # decides, splitting by dv
+    a, b, c, d, v = range(5)
+    pts = np.array([(1, 0, 1), (0, 0, 0), (2, 0, 0), (1, -1, 0), (1, 0.5, 0)])
+    proposed = SimpleNamespace(simplices=np.array([(a, b, c, d), (a, b, c, v)]))
+    monkeypatch.setattr(triangulation, "_qhull", lambda: (lambda coords: proposed, Exception))
+    flips = []
+    flip_to_delaunay = triangulation._flip_to_delaunay
+    monkeypatch.setattr(triangulation, "_flip_to_delaunay",
+                        lambda *args: flips.append(flip_to_delaunay(*args)) or flips[-1])
+    g = delaunay(pts)
+    assert flips == [False]
+    assert g.stats.backend == "incremental"
+    assert g.cells.tolist() == [[a, b, d, v], [a, c, d, v]]
+    assert g.cells.tolist() == sorted(map(list, bruteforce_simplices(pts)))
 
 
 def test_unique_triangulation_for_every_insertion_seed(monkeypatch):
